@@ -63,6 +63,41 @@ void BM_MatMulTowerHead(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulTowerHead);
 
+/// One tower Linear layer trained for a step: forward (matmul + bias add),
+/// then backward through both GEMMs (dA and dB) and the bias column sums,
+/// seeded by a weighted sum so dC is a dense, non-uniform gradient. Next to
+/// the forward-only row of the same shape, the ratio is the backward cost in
+/// forward units (~2x for a balanced kernel layer).
+void TowerLinearBackward(benchmark::State& state, int m, int k, int n) {
+  Rng rng(1);
+  Tensor a = Tensor::Randn(m, k, 1.0f, &rng, /*requires_grad=*/true);
+  Tensor b = Tensor::Randn(k, n, 1.0f, &rng, /*requires_grad=*/true);
+  Tensor bias = Tensor::Randn(1, n, 1.0f, &rng, /*requires_grad=*/true);
+  const Tensor dc = Tensor::Randn(m, n, 1.0f, &rng);
+  for (auto _ : state) {
+    Tensor out = ops::Add(ops::MatMul(a, b), bias);
+    ops::WeightedSum(out, dc).Backward();
+    benchmark::DoNotOptimize(a.grad());
+  }
+  state.SetItemsProcessed(state.iterations() * 3 *
+                          static_cast<std::int64_t>(m) * k * n);
+}
+
+void BM_MatMulTowerLayer1Backward(benchmark::State& state) {
+  TowerLinearBackward(state, kBatch, TowerInputWidth(), 64);
+}
+BENCHMARK(BM_MatMulTowerLayer1Backward);
+
+void BM_MatMulTowerLayer2Backward(benchmark::State& state) {
+  TowerLinearBackward(state, kBatch, 64, 32);
+}
+BENCHMARK(BM_MatMulTowerLayer2Backward);
+
+void BM_MatMulTowerHeadBackward(benchmark::State& state) {
+  TowerLinearBackward(state, kBatch, 32, 1);
+}
+BENCHMARK(BM_MatMulTowerHeadBackward);
+
 // --- Vectorized elementwise family -------------------------------------------
 
 void Elementwise(benchmark::State& state, Tensor (*op)(const Tensor&)) {

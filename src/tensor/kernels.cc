@@ -44,7 +44,13 @@ inline void StorePartial(float* p, Vf v, int n) {
   std::memcpy(p, tmp, sizeof(float) * static_cast<std::size_t>(n));
 }
 
+/// x in every lane, computed as +0 + x: a -0.0 input becomes +0.0. The
+/// GEMM kernels broadcast A's elements this way, so the backward kernels
+/// must reproduce exactly which operands pass through it.
 inline Vf Splat(float x) { return Vf{} + x; }
+
+/// x copied into every lane bit for bit (-0.0 stays -0.0).
+inline Vf Broadcast(float x) { return Vf{x, x, x, x, x, x, x, x}; }
 
 inline Vf BitsToVf(Vi b) {
   Vf v;
@@ -263,44 +269,289 @@ void GemmRowsPacked(const float* a, const float* packed, float* c, int k,
   }
 }
 
-void GemmGradARows(const float* dc, const float* b, float* da, int k, int n,
-                   std::int64_t i0, std::int64_t i1) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const float* grow = dc + i * n;
-    float* arow = da + i * k;
-    for (int p = 0; p < k; ++p) {
-      const float* brow = b + static_cast<std::size_t>(p) * n;
-      Vf acc = Vf{};
-      int j = 0;
-      for (; j + kSimdWidth <= n; j += kSimdWidth) {
-        acc += LoadV(grow + j) * LoadV(brow + j);
+namespace {
+
+// --- Backward GEMMs ----------------------------------------------------------
+// Both gradients keep their accumulators in registers for a whole reduction
+// sweep. The per-element floating-point sequence is the contract (kernels.h):
+// any rewrite here must reproduce it exactly, which KernelTest pins against
+// the plain loops it replaced.
+
+// Register tiles. The wide dA tile holds 8 * kGradARowTile accumulators and
+// the dB column tile kGradBRowTile * 4; three dA rows and four dB rows fit
+// the 32 vector registers of AVX-512VL, and 16 registers (AVX2) take one
+// and two.
+#if defined(__AVX512VL__)
+constexpr int kGradARowTile = 3;
+constexpr int kGradBRowTile = 4;
+#else
+constexpr int kGradARowTile = 1;
+constexpr int kGradBRowTile = 2;
+#endif
+
+/// x rounded up to whole vectors (GemmPackBT's row stride and row count).
+inline int RoundUpToVector(int x) {
+  return (x + kSimdWidth - 1) / kSimdWidth * kSimdWidth;
+}
+
+/// HSum's tree applied lane-wise: lane q of the result is
+/// ((v0+v1)+(v2+v3))+((v4+v5)+(v6+v7)) over lane q of the eight inputs.
+inline Vf HSumLanes(const Vf (&v)[kSimdWidth]) {
+  return ((v[0] + v[1]) + (v[2] + v[3])) + ((v[4] + v[5]) + (v[6] + v[7]));
+}
+
+// dA runs lanes across 8 consecutive p of one dA row, reading B^T rows. In
+// the row-vector formulation the kernels replace, dA[i][p] is HSum of an
+// accumulator whose lane l sums dC[i][j] * B[p][j] over j = l, l+8, ...
+// from +0, a final partial j-block adding 0 * 0 to its padding lanes. Here
+// v[l] holds that lane-l chain for eight p at once, and HSumLanes evaluates
+// the same tree, so every dA element gets the same bits.
+
+/// R rows of dA x 8 p, 8 * R accumulators swept over the full j-blocks. A
+/// ragged last block (kRagged; for n < 8, the only block) is computed
+/// branch-free over all 8 lanes: padding lanes multiply a zero dC by B^T's
+/// zero padding rows, exactly the 0 * 0 the zero-padded block adds. kRagged
+/// is a template argument so the common whole-block shapes carry no tail
+/// code, which would otherwise push the accumulators out of registers.
+template <int R, bool kRagged>
+inline void GradATile(const float* dc, const float* bt, int ldbt, float* da,
+                      int k, int n, int p, int pn) {
+  // Every loop over r and l is unrolled before scalar replacement runs, so
+  // the accumulator array lives in registers rather than on the stack.
+  Vf v[R][kSimdWidth];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int l = 0; l < kSimdWidth; ++l) v[r][l] = Vf{};
+  }
+  int j = 0;
+  for (; j + kSimdWidth <= n; j += kSimdWidth) {
+#pragma GCC unroll 8
+    for (int l = 0; l < kSimdWidth; ++l) {
+      const Vf bv = LoadV(bt + static_cast<std::size_t>(j + l) * ldbt + p);
+#pragma GCC unroll 8
+      for (int r = 0; r < R; ++r) {
+        v[r][l] += Broadcast(dc[static_cast<std::size_t>(r) * n + j + l]) * bv;
       }
-      if (j < n) {
-        acc += LoadPartial(grow + j, n - j) * LoadPartial(brow + j, n - j);
-      }
-      arow[p] += HSum(acc);
     }
+  }
+  if (kRagged) {
+    const int rem = n - j;
+#pragma GCC unroll 8
+    for (int l = 0; l < kSimdWidth; ++l) {
+      const Vf bv = LoadV(bt + static_cast<std::size_t>(j + l) * ldbt + p);
+      const int jl = j + std::min(l, rem - 1);  // in-row even when unused
+#pragma GCC unroll 8
+      for (int r = 0; r < R; ++r) {
+        const float g = dc[static_cast<std::size_t>(r) * n + jl];
+        v[r][l] += Broadcast(l < rem ? g : 0.0f) * bv;
+      }
+    }
+  }
+  Vf h[R];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) h[r] = HSumLanes(v[r]);
+  if (pn == kSimdWidth) {
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      float* drow = da + static_cast<std::size_t>(r) * k + p;
+      StoreV(drow, LoadV(drow) + h[r]);
+    }
+  } else {
+    for (int r = 0; r < R; ++r) {
+      float* drow = da + static_cast<std::size_t>(r) * k + p;
+      StorePartial(drow, LoadPartial(drow, pn) + h[r], pn);
+    }
+  }
+}
+
+template <bool kRagged>
+void GradAWide(const float* dc, const float* bt, int ldbt, float* da, int k,
+               int n, std::int64_t i0, std::int64_t i1) {
+  std::int64_t i = i0;
+  for (; i + kGradARowTile <= i1; i += kGradARowTile) {
+    for (int p = 0; p < k; p += kSimdWidth) {
+      GradATile<kGradARowTile, kRagged>(dc + i * n, bt, ldbt, da + i * k, k, n,
+                                        p, std::min(kSimdWidth, k - p));
+    }
+  }
+  for (; i < i1; ++i) {
+    for (int p = 0; p < k; p += kSimdWidth) {
+      GradATile<1, kRagged>(dc + i * n, bt, ldbt, da + i * k, k, n, p,
+                            std::min(kSimdWidth, k - p));
+    }
+  }
+}
+
+/// dB tile over columns: PB rows of dB x JB vectors of columns, each
+/// accumulator loaded from dB once, swept over every sample i in ascending
+/// order, and stored once.
+template <int PB, int JB>
+inline void GradBColTile(const float* a, const float* dc, float* db, int m,
+                         int k, int n, std::int64_t p, int j) {
+  Vf acc[PB][JB];
+  for (int pp = 0; pp < PB; ++pp) {
+    for (int jj = 0; jj < JB; ++jj) {
+      acc[pp][jj] = LoadV(db + (p + pp) * n + j + jj * kSimdWidth);
+    }
+  }
+  for (int i = 0; i < m; ++i) {
+    const float* grow = dc + static_cast<std::size_t>(i) * n + j;
+    const float* arow = a + static_cast<std::size_t>(i) * k + p;
+    Vf g[JB];
+    for (int jj = 0; jj < JB; ++jj) g[jj] = LoadV(grow + jj * kSimdWidth);
+    for (int pp = 0; pp < PB; ++pp) {
+      const Vf av = Splat(arow[pp]);
+      for (int jj = 0; jj < JB; ++jj) acc[pp][jj] += av * g[jj];
+    }
+  }
+  for (int pp = 0; pp < PB; ++pp) {
+    for (int jj = 0; jj < JB; ++jj) {
+      StoreV(db + (p + pp) * n + j + jj * kSimdWidth, acc[pp][jj]);
+    }
+  }
+}
+
+template <int PB>
+inline void GradBColRows(const float* a, const float* dc, float* db, int m,
+                         int k, int n, int n8, std::int64_t p) {
+  constexpr int kJB = 4;
+  int j = 0;
+  for (; j + kJB * kSimdWidth <= n8; j += kJB * kSimdWidth) {
+    GradBColTile<PB, kJB>(a, dc, db, m, k, n, p, j);
+  }
+  for (; j < n8; j += kSimdWidth) {
+    GradBColTile<PB, 1>(a, dc, db, m, k, n, p, j);
+  }
+}
+
+/// dB tile over rows, for one column j: PV vectors of 8 consecutive p, with
+/// A's row segment a[i][p..p+8*PV) loaded contiguously and dC[i][j]
+/// broadcast. Used for the columns a full vector cannot cover (n < 8, and
+/// the n % 8 tail). `lo`/`hi` bound the lanes of the LAST vector that this
+/// call owns — [lo, hi) relative to its first p — and that vector's A loads
+/// start at `base`, which may reach back before p (an overlapped window that
+/// stays inside the row) or, when k < 8, go through a zero-padded load.
+template <int PV>
+inline void GradBRowTile(const float* a, const float* dc, float* db, int m,
+                         int k, int n, int j, std::int64_t p, int lo, int hi,
+                         std::int64_t base) {
+  const bool padded = k < kSimdWidth;
+  Vf acc[PV];
+  for (int v = 0; v < PV; ++v) {
+    const std::int64_t first = v + 1 == PV ? base : p + v * kSimdWidth;
+    const int qlo = v + 1 == PV ? lo : 0;
+    const int qhi = v + 1 == PV ? hi : kSimdWidth;
+    float col[kSimdWidth] = {0.0f};
+    for (int q = qlo; q < qhi; ++q) col[q] = db[(first + q) * n + j];
+    acc[v] = LoadV(col);
+  }
+  for (int i = 0; i < m; ++i) {
+    const float* arow = a + static_cast<std::size_t>(i) * k;
+    const Vf g = Broadcast(dc[static_cast<std::size_t>(i) * n + j]);
+    // Vf{} + a: A's elements pass through Splat's +0 add, as they do in the
+    // column-vector tiles.
+    for (int v = 0; v + 1 < PV; ++v) {
+      acc[v] += (Vf{} + LoadV(arow + p + v * kSimdWidth)) * g;
+    }
+    const Vf last = padded ? LoadPartial(arow, k) : LoadV(arow + base);
+    acc[PV - 1] += (Vf{} + last) * g;
+  }
+  for (int v = 0; v < PV; ++v) {
+    const std::int64_t first = v + 1 == PV ? base : p + v * kSimdWidth;
+    const int qlo = v + 1 == PV ? lo : 0;
+    const int qhi = v + 1 == PV ? hi : kSimdWidth;
+    float col[kSimdWidth];
+    StoreV(col, acc[v]);
+    for (int q = qlo; q < qhi; ++q) db[(first + q) * n + j] = col[q];
+  }
+}
+
+void GradBColumn(const float* a, const float* dc, float* db, int m, int k,
+                 int n, int j, std::int64_t p0, std::int64_t p1) {
+  constexpr int kPV = 4;
+  std::int64_t p = p0;
+  for (; p + kPV * kSimdWidth <= p1; p += kPV * kSimdWidth) {
+    GradBRowTile<kPV>(a, dc, db, m, k, n, j, p, 0, kSimdWidth,
+                      p + (kPV - 1) * kSimdWidth);
+  }
+  for (; p + kSimdWidth <= p1; p += kSimdWidth) {
+    GradBRowTile<1>(a, dc, db, m, k, n, j, p, 0, kSimdWidth, p);
+  }
+  if (p < p1) {
+    // Ragged tail: a full-width window ending inside the row when k allows
+    // it, otherwise a zero-padded load from the row start (k < 8).
+    const std::int64_t base =
+        k >= kSimdWidth ? std::min<std::int64_t>(p, k - kSimdWidth) : 0;
+    GradBRowTile<1>(a, dc, db, m, k, n, j, p, static_cast<int>(p - base),
+                    static_cast<int>(p1 - base), base);
+  }
+}
+
+}  // namespace
+
+std::int64_t GemmPackedBTSize(int k, int n) {
+  return static_cast<std::int64_t>(RoundUpToVector(n)) * RoundUpToVector(k);
+}
+
+void GemmPackBT(const float* b, int k, int n, float* packed) {
+  const int ldbt = RoundUpToVector(k);
+  for (int j = 0; j < n; ++j) {
+    float* dst = packed + static_cast<std::size_t>(j) * ldbt;
+    for (int p = 0; p < k; ++p) dst[p] = b[static_cast<std::size_t>(p) * n + j];
+    std::fill(dst + k, dst + ldbt, 0.0f);
+  }
+  std::fill(packed + static_cast<std::size_t>(n) * ldbt,
+            packed + GemmPackedBTSize(k, n), 0.0f);
+}
+
+void GemmGradARows(const float* dc, const float* bt, float* da, int k, int n,
+                   std::int64_t i0, std::int64_t i1) {
+  const int ldbt = RoundUpToVector(k);
+  if (n % kSimdWidth == 0) {
+    GradAWide<false>(dc, bt, ldbt, da, k, n, i0, i1);
+  } else {
+    GradAWide<true>(dc, bt, ldbt, da, k, n, i0, i1);
   }
 }
 
 void GemmGradBRows(const float* a, const float* dc, float* db, int m, int k,
                    int n, std::int64_t p0, std::int64_t p1) {
-  for (std::int64_t p = p0; p < p1; ++p) {
-    float* brow = db + p * n;
-    for (int i = 0; i < m; ++i) {
-      const Vf av = Splat(a[static_cast<std::size_t>(i) * k + p]);
-      const float* grow = dc + static_cast<std::size_t>(i) * n;
-      int j = 0;
-      for (; j + kSimdWidth <= n; j += kSimdWidth) {
-        StoreV(brow + j, LoadV(brow + j) + av * LoadV(grow + j));
-      }
-      if (j < n) {
-        const int r = n - j;
-        StorePartial(brow + j,
-                     LoadPartial(brow + j, r) + av * LoadPartial(grow + j, r),
-                     r);
-      }
+  const int n8 = n / kSimdWidth * kSimdWidth;
+  if (n8 > 0) {
+    std::int64_t p = p0;
+    for (; p + kGradBRowTile <= p1; p += kGradBRowTile) {
+      GradBColRows<kGradBRowTile>(a, dc, db, m, k, n, n8, p);
     }
+    for (; p < p1; ++p) GradBColRows<1>(a, dc, db, m, k, n, n8, p);
+  }
+  for (int j = n8; j < n; ++j) GradBColumn(a, dc, db, m, k, n, j, p0, p1);
+}
+
+void AccumulateColumnSums(const float* g, float* out, int m, int n,
+                          std::int64_t c0, std::int64_t c1) {
+  constexpr int kCV = 4;
+  std::int64_t c = c0;
+  for (; c + kCV * kSimdWidth <= c1; c += kCV * kSimdWidth) {
+    Vf acc[kCV];
+    for (int v = 0; v < kCV; ++v) acc[v] = LoadV(out + c + v * kSimdWidth);
+    for (int r = 0; r < m; ++r) {
+      const float* row = g + static_cast<std::size_t>(r) * n + c;
+      for (int v = 0; v < kCV; ++v) acc[v] += LoadV(row + v * kSimdWidth);
+    }
+    for (int v = 0; v < kCV; ++v) StoreV(out + c + v * kSimdWidth, acc[v]);
+  }
+  for (; c + kSimdWidth <= c1; c += kSimdWidth) {
+    Vf acc = LoadV(out + c);
+    for (int r = 0; r < m; ++r) {
+      acc += LoadV(g + static_cast<std::size_t>(r) * n + c);
+    }
+    StoreV(out + c, acc);
+  }
+  for (; c < c1; ++c) {
+    float acc = out[c];
+    for (int r = 0; r < m; ++r) acc += g[static_cast<std::size_t>(r) * n + c];
+    out[c] = acc;
   }
 }
 

@@ -26,6 +26,8 @@ namespace kernels {
 //    multiply-add chain over ascending k, identical in every row-tile
 //    variant, so C[i][j] is bit-identical regardless of how rows are
 //    chunked across threads or which row-remainder kernel computes row i.
+//    The backward GEMMs and the column-sum kernel below follow the same
+//    rule with the per-element orders documented at their declarations.
 //  * Transcendentals (VExp/VLog inside) are polynomial implementations that
 //    agree with libm to a few ulp but are NOT bit-identical to libm; exact
 //    identities that tests rely on are preserved by construction:
@@ -54,16 +56,45 @@ void GemmPackB(const float* b, int k, int n, float* packed);
 void GemmRowsPacked(const float* a, const float* packed, float* c, int k,
                     int n, std::int64_t i0, std::int64_t i1);
 
-/// Accumulates rows [i0, i1) of dA += dC * B^T. B is the unpacked row-major
-/// operand (its rows are already contiguous for the dot products).
-void GemmGradARows(const float* dc, const float* b, float* da, int k, int n,
+// --- Backward GEMMs: dA += dC * B^T and dB += A^T * dC ---------------------
+// Register-tiled; each output element runs one fixed floating-point sequence
+// that no tile shape, remainder path or caller partition can change:
+//  * dA[i][p]: eight lane chains, lane l summing dC[i][j] * B[p][j] over
+//    j = l, l+8, ... in ascending order from +0 (a final partial j-block adds
+//    +0 to its padding lanes), then HSum's fixed tree over the eight lanes,
+//    then one += into dA[i][p].
+//  * dB[p][j]: one chain dB[p][j] += A[i][p] * dC[i][j] over ascending i,
+//    starting from dB's prior value, with A[i][p] taken as +0 + A[i][p]
+//    (the forward GEMM's broadcast: -0.0 becomes +0.0) and dC as stored.
+
+/// Floats required for GemmPackBT's image of B^T.
+std::int64_t GemmPackedBTSize(int k, int n);
+
+/// Packs row-major B[k x n] as B^T: packed[j][p] = B[p][j], each of the n
+/// rows zero-padded from k to a multiple of kSimdWidth so the dA kernel
+/// loads 8 consecutive p of one column without a scalar tail.
+void GemmPackBT(const float* b, int k, int n, float* packed);
+
+/// Accumulates rows [i0, i1) of dA += dC * B^T, with B^T from GemmPackBT.
+/// Lanes run across 8 consecutive p, so the eight lane chains above stay in
+/// separate registers and the HSum tree is evaluated lane-wise. Safe to
+/// call concurrently for disjoint row ranges.
+void GemmGradARows(const float* dc, const float* bt, float* da, int k, int n,
                    std::int64_t i0, std::int64_t i1);
 
-/// Accumulates rows [p0, p1) of dB += A^T * dC. Each dB element sees its m
-/// contributions in ascending-i order — the serial accumulation order — so
-/// the result is bit-identical at any row partition.
+/// Accumulates rows [p0, p1) of dB += A^T * dC. Columns that fill whole
+/// vectors run lanes across j, in tiles of dB rows x 4 column vectors; the
+/// rest (n < 8, or the n % 8 tail) run lanes across 8 consecutive p of one
+/// column, loading A's row segment contiguously. Safe to call concurrently
+/// for disjoint row ranges.
 void GemmGradBRows(const float* a, const float* dc, float* db, int m, int k,
                    int n, std::int64_t p0, std::int64_t p1);
+
+/// out[c] += sum_r g[r][c] for columns [c0, c1) of g[m x n], each column
+/// added in ascending-row order from out's prior value (the bias gradient of
+/// a row-broadcast add). Safe to call concurrently for disjoint columns.
+void AccumulateColumnSums(const float* g, float* out, int m, int n,
+                          std::int64_t c0, std::int64_t c1);
 
 // --- Elementwise maps over [i0, i1) of contiguous buffers ------------------
 // Forward kernels overwrite y; *Grad kernels ACCUMULATE into the gradient

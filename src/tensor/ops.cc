@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <type_traits>
 
 #include "core/thread_pool.h"
 #include "tensor/kernels.h"
@@ -38,9 +39,10 @@ using core::ParallelForChunks;
 constexpr std::int64_t kElementwiseGrain = 131072;
 /// Minimum multiply-adds per chunk for matmul-shaped kernels. 2^23 madds is
 /// ~0.1ms of single-thread GEMM work — the break-even point where a second
-/// thread starts paying for its wake-up; the tower-shaped matmuls
-/// (batch ~<=512, widths ~<=128) stay single-chunk, and only genuinely large
-/// GEMMs fan out.
+/// thread starts paying for its wake-up. The tower-shaped matmuls of training
+/// (batch 1024, the widest being 112 -> 64: 7.3M madds in the forward and in
+/// each backward GEMM) stay single-chunk, and only genuinely large GEMMs fan
+/// out.
 constexpr std::int64_t kMatMulGrain = 8388608;
 
 /// Row grain so each chunk holds at least `work` scalar ops at `per_row`
@@ -79,6 +81,14 @@ inline std::size_t BIndex(Broadcast k, int r, int c, int bcols) {
   }
   return 0;
 }
+
+/// Add's local partials (+1 for both operands), as a named type: BinaryOp
+/// recognises it at compile time and sends a row-broadcast gradient (a
+/// Linear bias) to the vectorized column-sum kernel instead of the scalar
+/// column loop.
+struct UnitPartial {
+  float operator()(float, float, float) const { return 1.0f; }
+};
 
 bool AnyRequiresGrad(const Tensor& a, const Tensor& b) {
   return a.requires_grad() || b.requires_grad();
@@ -126,6 +136,27 @@ Tensor BinaryOp(const char* op, const Tensor& a, const Tensor& b, Fwd fwd,
         if (ag != nullptr) ag[i] += g * dfda(a_d[i], b_d[j], out_d[i]);
         if (bg != nullptr) bg[j] += g * dfdb(a_d[i], b_d[j], out_d[i]);
       };
+      if constexpr (std::is_same_v<DfDa, UnitPartial> &&
+                    std::is_same_v<DfDb, UnitPartial>) {
+        if (bg != nullptr && kind == Broadcast::kRow) {
+          // g * 1 is exactly g, so ag[i] += g[i] and bg[c] += sum_r g[r][c]:
+          // column sums in ascending-row order per column, as the scalar
+          // column loop below accumulates them.
+          if (ag != nullptr) {
+            ParallelFor(0, m, RowGrain(kElementwiseGrain, n),
+                        [&](std::int64_t r0, std::int64_t r1) {
+                          for (std::int64_t i = r0 * n; i < r1 * n; ++i) {
+                            ag[i] += og[i];
+                          }
+                        });
+          }
+          ParallelFor(0, n, RowGrain(kElementwiseGrain, m),
+                      [&](std::int64_t c0, std::int64_t c1) {
+                        kernels::AccumulateColumnSums(og, bg, m, n, c0, c1);
+                      });
+          return;
+        }
+      }
       if (bg == nullptr || kind == Broadcast::kSame || kind == Broadcast::kCol) {
         // b's gradient (if any) is per-element or per-row local: partition
         // rows; each accumulator stays within one chunk, in serial order.
@@ -224,17 +255,15 @@ Tensor UnaryKernelOp(const char* op, const Tensor& a, MapFn fwd, MapGradFn bwd,
   return out;
 }
 
-/// Packs B into zero-padded column panels for the GEMM micro-kernel, reusing
-/// a per-thread scratch buffer (no allocation in the serving steady state).
-/// The returned pointer stays valid through the caller's ParallelFor: worker
-/// threads only read it, and MatMul never nests inside another MatMul.
-const float* PackB(const float* bd, int k, int n) {
+/// Per-thread scratch for a packed GEMM operand (no allocation in the serving
+/// steady state). The returned buffer stays valid through the caller's
+/// ParallelFor: worker threads only read it, and neither MatMul nor its
+/// backward nests inside another MatMul.
+float* PackScratch(std::int64_t need) {
   thread_local std::vector<float> scratch;
-  const std::int64_t need = kernels::GemmPackedSize(k, n);
   if (static_cast<std::int64_t>(scratch.size()) < need) {
     scratch.resize(static_cast<std::size_t>(need));
   }
-  kernels::GemmPackB(bd, k, n, scratch.data());
   return scratch.data();
 }
 
@@ -251,7 +280,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   // zero-padded panels once, then row chunks run the register-tiled
   // micro-kernel. Output values are invariant to the row partition, so any
   // thread count produces identical bits.
-  const float* packed = PackB(b.data(), k, n);
+  float* packed = PackScratch(kernels::GemmPackedSize(k, n));
+  kernels::GemmPackB(b.data(), k, n, packed);
   ParallelFor(0, m, RowGrain(kMatMulGrain, static_cast<std::int64_t>(k) * n),
               [&](std::int64_t i0, std::int64_t i1) {
                 kernels::GemmRowsPacked(ad, packed, od, k, n, i0, i1);
@@ -261,16 +291,17 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     Tensor::Impl* self = out.impl();
     out.SetBackwardFn([a_cap, b_cap, self, m, k, n]() mutable {
       const float* og = self->EnsureGrad();
-      // dL/dA = dL/dOut * B^T  -> [m x k]. B's rows are contiguous, so the
-      // vectorized dot products already run over packed (transposed-B)
-      // memory; chunks own disjoint slabs of A's gradient rows.
+      // dL/dA = dL/dOut * B^T  -> [m x k]. B is packed once as B^T (rows
+      // padded to whole vectors) so the kernel loads 8 consecutive p of one
+      // column; chunks own disjoint slabs of A's gradient rows.
       if (a_cap.requires_grad()) {
         float* ag = a_cap.impl()->EnsureGrad();
-        const float* b_d = b_cap.data();
+        float* bt = PackScratch(kernels::GemmPackedBTSize(k, n));
+        kernels::GemmPackBT(b_cap.data(), k, n, bt);
         ParallelFor(
             0, m, RowGrain(kMatMulGrain, static_cast<std::int64_t>(k) * n),
             [&](std::int64_t i0, std::int64_t i1) {
-              kernels::GemmGradARows(og, b_d, ag, k, n, i0, i1);
+              kernels::GemmGradARows(og, bt, ag, k, n, i0, i1);
             });
       }
       // dL/dB = A^T * dL/dOut  -> [k x n]. Parallelized over B's gradient
@@ -293,9 +324,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 
 Tensor Add(const Tensor& a, const Tensor& b) {
   return BinaryOp(
-      "add", a, b, [](float x, float y) { return x + y; },
-      [](float, float, float) { return 1.0f; },
-      [](float, float, float) { return 1.0f; });
+      "add", a, b, [](float x, float y) { return x + y; }, UnitPartial{},
+      UnitPartial{});
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {

@@ -14,9 +14,13 @@
 //    the composite's probability clamp does not engage, and stays finite at
 //    logits where the composite saturates;
 //  - every fused op passes finite-difference gradcheck at 1 and 4 threads
-//    with the partition grain forced down so the 4-thread run really shards.
+//    with the partition grain forced down so the 4-thread run really shards;
+//  - the register-tiled backward GEMMs and the bias column sums are
+//    BIT-identical to the plain loops they replaced (kept below as oracles).
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -279,6 +283,188 @@ TEST_F(KernelTest, MatMulMatchesDoubleReferenceOnRaggedSizes) {
                    static_cast<double>(b.at(p, j));
           }
           EXPECT_NEAR(c.at(i, j), acc, 1e-5) << "(" << i << "," << j << ")";
+        }
+      }
+    }
+  }
+}
+
+// --- Backward GEMMs + bias: bit-identical to the loops they replaced ---------
+
+// The row-vector backward loops and the scalar bias-broadcast loop that the
+// register-tiled kernels replaced, kept verbatim as oracles. Their
+// per-element floating-point sequence is the contract the kernels must keep
+// (kernels.h): every golden, parity and checkpoint test depends on it.
+namespace oracle {
+
+typedef float Vf __attribute__((vector_size(32)));
+constexpr int kW = 8;
+
+Vf LoadV(const float* p) {
+  Vf v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+void StoreV(float* p, Vf v) { std::memcpy(p, &v, sizeof(v)); }
+
+Vf LoadPartial(const float* p, int n) {
+  float tmp[kW] = {0.0f};
+  std::memcpy(tmp, p, sizeof(float) * static_cast<std::size_t>(n));
+  Vf v;
+  std::memcpy(&v, tmp, sizeof(v));
+  return v;
+}
+
+void StorePartial(float* p, Vf v, int n) {
+  float tmp[kW];
+  std::memcpy(tmp, &v, sizeof(v));
+  std::memcpy(p, tmp, sizeof(float) * static_cast<std::size_t>(n));
+}
+
+Vf Splat(float x) { return Vf{} + x; }
+
+float HSum(Vf v) {
+  return ((v[0] + v[1]) + (v[2] + v[3])) + ((v[4] + v[5]) + (v[6] + v[7]));
+}
+
+// dA += dC * B^T, one horizontal dot product per element.
+void GemmGradARows(const float* dc, const float* b, float* da, int k, int n,
+                   std::int64_t i0, std::int64_t i1) {
+  for (std::int64_t i = i0; i < i1; ++i) {
+    const float* grow = dc + i * n;
+    float* arow = da + i * k;
+    for (int p = 0; p < k; ++p) {
+      const float* brow = b + static_cast<std::size_t>(p) * n;
+      Vf acc = Vf{};
+      int j = 0;
+      for (; j + kW <= n; j += kW) {
+        acc += LoadV(grow + j) * LoadV(brow + j);
+      }
+      if (j < n) {
+        acc += LoadPartial(grow + j, n - j) * LoadPartial(brow + j, n - j);
+      }
+      arow[p] += HSum(acc);
+    }
+  }
+}
+
+// dB += A^T * dC, one in-memory row update per sample.
+void GemmGradBRows(const float* a, const float* dc, float* db, int m, int k,
+                   int n, std::int64_t p0, std::int64_t p1) {
+  for (std::int64_t p = p0; p < p1; ++p) {
+    float* brow = db + p * n;
+    for (int i = 0; i < m; ++i) {
+      const Vf av = Splat(a[static_cast<std::size_t>(i) * k + p]);
+      const float* grow = dc + static_cast<std::size_t>(i) * n;
+      int j = 0;
+      for (; j + kW <= n; j += kW) {
+        StoreV(brow + j, LoadV(brow + j) + av * LoadV(grow + j));
+      }
+      if (j < n) {
+        const int r = n - j;
+        StorePartial(brow + j,
+                     LoadPartial(brow + j, r) + av * LoadPartial(grow + j, r),
+                     r);
+      }
+    }
+  }
+}
+
+// Row-broadcast add backward: ag[i] += g * 1, bg[c] += g * 1, rows ascending.
+void AddRowBroadcastBackward(const float* g, float* ag, float* bg, int m,
+                             int n) {
+  const auto one = [] { return 1.0f; };
+  for (int r = 0; r < m; ++r) {
+    for (int c = 0; c < n; ++c) {
+      const std::size_t i = static_cast<std::size_t>(r) * n + c;
+      ag[i] += g[i] * one();
+      bg[c] += g[i] * one();
+    }
+  }
+}
+
+}  // namespace oracle
+
+/// Values in [-1, 1) with exact zeros (+0 and -0) and tiny magnitudes whose
+/// products underflow, so signed-zero and subnormal edges are exercised.
+std::vector<float> EdgyValues(std::int64_t count, Rng* rng) {
+  const Tensor t =
+      Tensor::Uniform(1, static_cast<int>(count), -1.0f, 1.0f, rng);
+  std::vector<float> v(t.data(), t.data() + t.size());
+  for (std::int64_t i = 0; i < count; ++i) {
+    if (i % 5 == 1) v[i] = 0.0f;
+    if (i % 7 == 3) v[i] = -0.0f;
+    if (i % 11 == 4) v[i] *= 1e-30f;
+  }
+  return v;
+}
+
+void ExpectSameBytes(const float* got, const std::vector<float>& want,
+                     const char* what, int m, int k, int n, int threads) {
+  const std::size_t bytes = want.size() * sizeof(float);
+  if (std::memcmp(got, want.data(), bytes) == 0) return;
+  std::size_t i = 0;
+  while (std::memcmp(got + i, want.data() + i, sizeof(float)) == 0) ++i;
+  ADD_FAILURE() << what << " differs at element " << i << " (got " << got[i]
+                << ", want " << want[i] << ") for m=" << m << " k=" << k
+                << " n=" << n << " at " << threads << " threads";
+}
+
+TEST_F(KernelTest, GemmBackwardBitIdenticalToReferenceLoops) {
+  const int ms[] = {1, 5, 7, 1027};
+  const int ks[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 112};
+  const int ns[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 20, 24, 64, 65};
+  Rng rng(18);
+  for (int threads : {1, 4}) {
+    UseThreads(threads, /*force_sharding=*/true);
+    for (int m : ms) {
+      for (int k : ks) {
+        for (int n : ns) {
+          const std::int64_t mk = static_cast<std::int64_t>(m) * k;
+          const std::int64_t kn = static_cast<std::int64_t>(k) * n;
+          const std::int64_t mn = static_cast<std::int64_t>(m) * n;
+          Tensor a = Tensor::FromData(m, k, EdgyValues(mk, &rng), true);
+          Tensor w = Tensor::FromData(k, n, EdgyValues(kn, &rng), true);
+          Tensor bias = Tensor::FromData(1, n, EdgyValues(n, &rng), true);
+          const Tensor dout_w = Tensor::FromData(m, n, EdgyValues(mn, &rng));
+
+          // Nonzero and -0.0 prior gradients: the kernels accumulate.
+          const std::vector<float> seed_a = EdgyValues(mk, &rng);
+          const std::vector<float> seed_w = EdgyValues(kn, &rng);
+          const std::vector<float> seed_b = EdgyValues(n, &rng);
+          std::memcpy(a.grad(), seed_a.data(), seed_a.size() * sizeof(float));
+          std::memcpy(w.grad(), seed_w.data(), seed_w.size() * sizeof(float));
+          std::memcpy(bias.grad(), seed_b.data(),
+                      seed_b.size() * sizeof(float));
+
+          Tensor mm = ops::MatMul(a, w);
+          Tensor out = ops::Add(mm, bias);
+          // Seeding the intermediates too puts -0.0 into dC (-0 + -0).
+          const std::vector<float> seed_out = EdgyValues(mn, &rng);
+          const std::vector<float> seed_mm = EdgyValues(mn, &rng);
+          std::memcpy(out.grad(), seed_out.data(),
+                      seed_out.size() * sizeof(float));
+          std::memcpy(mm.grad(), seed_mm.data(), seed_mm.size() * sizeof(float));
+          ops::WeightedSum(out, dout_w).Backward();
+
+          // Replay the same upstream gradients through the oracles.
+          const float* dout = out.grad();
+          std::vector<float> want_mm = seed_mm;
+          std::vector<float> want_b = seed_b;
+          oracle::AddRowBroadcastBackward(dout, want_mm.data(), want_b.data(),
+                                          m, n);
+          ExpectSameBytes(mm.grad(), want_mm, "add dA", m, k, n, threads);
+          ExpectSameBytes(bias.grad(), want_b, "bias grad", m, k, n, threads);
+
+          std::vector<float> want_a = seed_a;
+          std::vector<float> want_w = seed_w;
+          oracle::GemmGradARows(want_mm.data(), w.data(), want_a.data(), k, n,
+                                0, m);
+          oracle::GemmGradBRows(a.data(), want_mm.data(), want_w.data(), m, k,
+                                n, 0, k);
+          ExpectSameBytes(a.grad(), want_a, "matmul dA", m, k, n, threads);
+          ExpectSameBytes(w.grad(), want_w, "matmul dB", m, k, n, threads);
         }
       }
     }

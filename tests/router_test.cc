@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 // dcmt-lint: allow(concurrency) — futures carry router scores cross-thread.
 #include <future>
 #include <memory>
@@ -19,6 +20,8 @@
 // dcmt-lint: allow(concurrency) — real submitter threads for the router.
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -237,12 +240,23 @@ class RouterTest : public ::testing::Test {
         adam.Step();
       }
     };
+    // Per-test, per-process paths: parallel ctest runs every case in its
+    // own process, and shared names would race on the save's tmp+rename.
+    const std::string prefix =
+        ::testing::TempDir() + "/router_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+        std::to_string(static_cast<long long>(::getpid()));
     step(2);
-    path_a_ = ::testing::TempDir() + "/router_a.ckpt";
+    path_a_ = prefix + "_a.ckpt";
     ASSERT_TRUE(nn::SaveParameters(*model, path_a_));
     step(4);
-    path_b_ = ::testing::TempDir() + "/router_b.ckpt";
+    path_b_ = prefix + "_b.ckpt";
     ASSERT_TRUE(nn::SaveParameters(*model, path_b_));
+  }
+
+  void TearDown() override {
+    std::remove(path_a_.c_str());
+    std::remove(path_b_.c_str());
   }
 
   std::unique_ptr<serve::FrozenModel> LoadA() {

@@ -243,7 +243,12 @@ fi
 "$BUILD_DIR"/bench/bench_kernels \
   --benchmark_out="$BUILD_DIR"/bench_kernels_raw.json \
   --benchmark_out_format=json
+# Interleaved repetitions for the ObsOn/ObsOff pair as well: the budget is
+# 2% of a few-ms training step, well inside the drift between two
+# back-to-back sequential runs of the same family.
 "$BUILD_DIR"/bench/bench_obs_overhead \
+  --benchmark_enable_random_interleaving=true \
+  --benchmark_repetitions=5 \
   --benchmark_out="$BUILD_DIR"/bench_obs_raw.json \
   --benchmark_out_format=json
 # Interleaved repetitions: the taped-vs-frozen comparison is a few percent
