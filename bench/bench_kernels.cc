@@ -12,6 +12,7 @@
 #include "data/profiles.h"
 #include "data/schema.h"
 #include "models/multi_task_model.h"
+#include "support/reference_ops.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
 #include "tensor/tensor.h"

@@ -135,6 +135,9 @@ bool DecodeSnapshot(std::string_view payload,
   return r.AtEnd();
 }
 
+/// The bit a record type sets in ReadValidated's `records` mask.
+constexpr std::uint32_t RecordBit(nn::RecordType type) { return 1u << type; }
+
 /// True iff `snapshot` has exactly the module's parameter count and sizes.
 bool SnapshotMatchesModule(const std::vector<std::vector<float>>& snapshot,
                            const nn::Module& module) {
@@ -144,6 +147,113 @@ bool SnapshotMatchesModule(const std::vector<std::vector<float>>& snapshot,
     if (snapshot[k].size() != static_cast<std::size_t>(params[k].size())) {
       return false;
     }
+  }
+  return true;
+}
+
+/// A checkpoint read and validated against the live objects but not yet
+/// applied. `params_payload` views `image`.
+struct LoadedCheckpoint {
+  std::string image;
+  std::string_view params_payload;
+  TrainCheckpointState state;
+};
+
+/// The one read-decode-validate path behind Checkpointer::Restore and
+/// WarmStart. Reads `path` and verifies framing and CRCs. Decodes the record
+/// types in `records` (a RecordBit mask: the ones the caller consumes),
+/// rejecting duplicate or malformed ones, and skips the other known types
+/// undecoded; an unknown type is rejected. Every type in `records` must be
+/// present except kBestSnapshot, which exists only once an epoch improved.
+/// Then checks `state.*fingerprint_field` against `expected_fingerprint` and
+/// validates the parameters, Adam moments and best snapshot against
+/// `module` and `adam`. Mutates nothing; on failure returns false and, if
+/// `error` is non-null, says why in `*error`.
+bool ReadValidated(core::FileSystem* fs, const std::string& path,
+                   std::uint32_t records,
+                   std::uint64_t TrainCheckpointState::*fingerprint_field,
+                   std::uint64_t expected_fingerprint, const nn::Module& module,
+                   const optim::Adam& adam, LoadedCheckpoint* out,
+                   std::string* error) {
+  auto fail = [error](const std::string& why) {
+    if (error != nullptr) *error = why;
+    return false;
+  };
+
+  std::unique_ptr<core::FileReader> reader = fs->OpenForRead(path);
+  if (reader == nullptr) return fail("cannot open " + path);
+  if (!reader->ReadAll(&out->image)) return fail("cannot read " + path);
+
+  // Phase 1 — parse and verify the whole file (framing + CRCs), then decode
+  // the records the caller consumes.
+  std::vector<nn::RecordView> views;
+  if (!nn::ParseCheckpointImage(out->image, &views)) {
+    return fail("corrupt checkpoint image: " + path);
+  }
+  TrainCheckpointState& decoded = out->state;
+  std::uint32_t seen = 0;
+  for (const nn::RecordView& record : views) {
+    if (record.type < nn::kParameters || record.type > nn::kBestSnapshot) {
+      return fail("unknown record type in " + path);  // not written by this build
+    }
+    const std::uint32_t bit = RecordBit(static_cast<nn::RecordType>(record.type));
+    if ((records & bit) == 0) continue;  // a record this caller does not consume
+    if ((seen & bit) != 0) return fail("duplicate record in " + path);
+    seen |= bit;
+    bool ok = false;
+    switch (record.type) {
+      case nn::kTrainerMeta:
+        ok = DecodeTrainerMeta(record.payload, &decoded);
+        break;
+      case nn::kParameters:
+        out->params_payload = record.payload;
+        ok = true;
+        break;
+      case nn::kAdamState:
+        ok = DecodeAdamState(record.payload, &decoded.adam);
+        break;
+      case nn::kRngState:
+        ok = DecodeRngState(record.payload, &decoded.shuffle_rng);
+        break;
+      case nn::kBatcherState:
+        ok = DecodeBatcherState(record.payload, &decoded.batcher);
+        break;
+      case nn::kBestSnapshot:
+        ok = DecodeSnapshot(record.payload, &decoded.best_snapshot);
+        break;
+    }
+    if (!ok) return fail("malformed record in " + path);
+  }
+  const std::uint32_t required = records & ~RecordBit(nn::kBestSnapshot);
+  if ((seen & required) != required) {
+    return fail("incomplete checkpoint in " + path);
+  }
+
+  // Phase 2 — validate every payload against the live objects, still
+  // without mutating anything. The fingerprint goes first: it turns a
+  // restore into the wrong setup or variant into a clear error.
+  if (decoded.*fingerprint_field != expected_fingerprint) {
+    char buf[192];
+    std::snprintf(buf, sizeof(buf),
+                  "%s fingerprint mismatch: checkpoint %016llx vs expected "
+                  "%016llx (%s)",
+                  fingerprint_field == &TrainCheckpointState::variant_fingerprint
+                      ? "model-variant"
+                      : "training-setup",
+                  static_cast<unsigned long long>(decoded.*fingerprint_field),
+                  static_cast<unsigned long long>(expected_fingerprint),
+                  path.c_str());
+    return fail(buf);
+  }
+  if (!nn::ValidateParametersPayload(out->params_payload, module)) {
+    return fail("parameter payload does not match module in " + path);
+  }
+  if (!adam.CanImport(decoded.adam)) {
+    return fail("adam state does not match optimizer in " + path);
+  }
+  if (!decoded.best_snapshot.empty() &&
+      !SnapshotMatchesModule(decoded.best_snapshot, module)) {
+    return fail("best snapshot does not match module in " + path);
   }
   return true;
 }
@@ -249,86 +359,29 @@ bool Checkpointer::Restore(std::uint64_t expected_fingerprint,
   obs::TraceSpan span("checkpoint/restore");
   const std::int64_t t0 = obs::NowNanos();
 
-  std::unique_ptr<core::FileReader> reader = fs_->OpenForRead(path_);
-  if (reader == nullptr) return false;
-  std::string image;
-  if (!reader->ReadAll(&image)) return false;
-
-  // Phase 1 — parse and verify the whole file (framing + CRCs).
-  std::vector<nn::RecordView> records;
-  if (!nn::ParseCheckpointImage(image, &records)) return false;
-
-  std::string_view params_payload;
-  bool have_meta = false, have_params = false, have_adam = false,
-       have_rng = false, have_batcher = false, have_snapshot = false;
-  TrainCheckpointState decoded;
-  for (const nn::RecordView& record : records) {
-    switch (record.type) {
-      case nn::kTrainerMeta:
-        if (have_meta || !DecodeTrainerMeta(record.payload, &decoded)) return false;
-        have_meta = true;
-        break;
-      case nn::kParameters:
-        if (have_params) return false;
-        params_payload = record.payload;
-        have_params = true;
-        break;
-      case nn::kAdamState:
-        if (have_adam || !DecodeAdamState(record.payload, &decoded.adam)) return false;
-        have_adam = true;
-        break;
-      case nn::kRngState:
-        if (have_rng || !DecodeRngState(record.payload, &decoded.shuffle_rng)) return false;
-        have_rng = true;
-        break;
-      case nn::kBatcherState:
-        if (have_batcher || !DecodeBatcherState(record.payload, &decoded.batcher)) return false;
-        have_batcher = true;
-        break;
-      case nn::kBestSnapshot:
-        if (have_snapshot || !DecodeSnapshot(record.payload, &decoded.best_snapshot)) return false;
-        have_snapshot = true;
-        break;
-      default:
-        return false;  // unknown record type: not a file this build wrote
-    }
-  }
-  if (!have_meta || !have_params || !have_adam || !have_rng || !have_batcher) {
-    return false;
-  }
-
-  // Phase 2 — validate every payload against the live objects, still
-  // without mutating anything.
-  if (decoded.fingerprint != expected_fingerprint) return false;
-  if (!nn::ValidateParametersPayload(params_payload, *module)) return false;
-  const auto& adam_params = adam->params();
-  if (decoded.adam.m.size() != adam_params.size() ||
-      decoded.adam.v.size() != adam_params.size()) {
-    return false;
-  }
-  for (std::size_t k = 0; k < adam_params.size(); ++k) {
-    const std::size_t n = static_cast<std::size_t>(adam_params[k].size());
-    if (decoded.adam.m[k].size() != n || decoded.adam.v[k].size() != n) {
-      return false;
-    }
-  }
-  if (!decoded.best_snapshot.empty() &&
-      !SnapshotMatchesModule(decoded.best_snapshot, *module)) {
+  LoadedCheckpoint loaded;
+  if (!ReadValidated(fs_, path_,
+                     RecordBit(nn::kTrainerMeta) | RecordBit(nn::kParameters) |
+                         RecordBit(nn::kAdamState) | RecordBit(nn::kRngState) |
+                         RecordBit(nn::kBatcherState) |
+                         RecordBit(nn::kBestSnapshot),
+                     &TrainCheckpointState::fingerprint, expected_fingerprint,
+                     *module, *adam, &loaded, nullptr)) {
     return false;
   }
 
   // Phase 3 — apply. RestoreState re-checks the batcher invariants and is
   // the first mutation; everything after it has been pre-validated above
   // and cannot fail.
-  if (!batcher->RestoreState(decoded.batcher)) return false;
-  if (!adam->ImportState(decoded.adam)) return false;
-  if (!nn::ApplyParametersPayload(params_payload, module)) return false;
-  rng->set_state(decoded.shuffle_rng);
-  *state = std::move(decoded);
+  if (!batcher->RestoreState(loaded.state.batcher)) return false;
+  if (!adam->ImportState(loaded.state.adam)) return false;
+  if (!nn::ApplyParametersPayload(loaded.params_payload, module)) return false;
+  rng->set_state(loaded.state.shuffle_rng);
+  *state = std::move(loaded.state);
   obs_restores.Inc();
-  obs_bytes_read.Inc(static_cast<std::int64_t>(image.size()));
+  obs_bytes_read.Inc(static_cast<std::int64_t>(loaded.image.size()));
   obs_restore_seconds.Add(static_cast<double>(obs::NowNanos() - t0) * 1e-9);
-  span.SetArg("bytes", static_cast<std::int64_t>(image.size()));
+  span.SetArg("bytes", static_cast<std::int64_t>(loaded.image.size()));
   return true;
 }
 
@@ -338,92 +391,27 @@ bool Checkpointer::WarmStart(std::uint64_t expected_variant_fingerprint,
   static obs::Counter obs_warm_starts =
       obs::Registry::Global().counter("dcmt_checkpoint_warm_starts_total");
   obs::TraceSpan span("checkpoint/warm_start");
-  auto fail = [error](const std::string& why) {
-    if (error != nullptr) *error = why;
+
+  // The run-position records (RNG, batcher, best snapshot) are CRC-checked
+  // but neither decoded nor applied: a warm start begins a new run.
+  LoadedCheckpoint loaded;
+  if (!ReadValidated(fs_, path_,
+                     RecordBit(nn::kTrainerMeta) | RecordBit(nn::kParameters) |
+                         RecordBit(nn::kAdamState),
+                     &TrainCheckpointState::variant_fingerprint,
+                     expected_variant_fingerprint, *module, *adam, &loaded,
+                     error)) {
     return false;
-  };
-
-  std::unique_ptr<core::FileReader> reader = fs_->OpenForRead(path_);
-  if (reader == nullptr) return fail("cannot open " + path_);
-  std::string image;
-  if (!reader->ReadAll(&image)) return fail("cannot read " + path_);
-
-  // Phase 1 — parse and verify the whole file (framing + CRCs), decoding
-  // only the records a warm start consumes.
-  std::vector<nn::RecordView> records;
-  if (!nn::ParseCheckpointImage(image, &records)) {
-    return fail("corrupt checkpoint image: " + path_);
-  }
-  std::string_view params_payload;
-  bool have_meta = false, have_params = false, have_adam = false;
-  TrainCheckpointState decoded;
-  for (const nn::RecordView& record : records) {
-    switch (record.type) {
-      case nn::kTrainerMeta:
-        if (have_meta || !DecodeTrainerMeta(record.payload, &decoded)) {
-          return fail("bad trainer-meta record in " + path_);
-        }
-        have_meta = true;
-        break;
-      case nn::kParameters:
-        if (have_params) return fail("duplicate parameters record in " + path_);
-        params_payload = record.payload;
-        have_params = true;
-        break;
-      case nn::kAdamState:
-        if (have_adam || !DecodeAdamState(record.payload, &decoded.adam)) {
-          return fail("bad adam-state record in " + path_);
-        }
-        have_adam = true;
-        break;
-      case nn::kRngState:
-      case nn::kBatcherState:
-      case nn::kBestSnapshot:
-        break;  // run-position state: deliberately not warm-started
-      default:
-        return fail("unknown record type in " + path_);
-    }
-  }
-  if (!have_meta || !have_params || !have_adam) {
-    return fail("incomplete checkpoint in " + path_);
-  }
-
-  // Phase 2 — validate before the first mutation. The variant check is the
-  // one that turns a silent cross-variant restore into a clear error.
-  if (decoded.variant_fingerprint != expected_variant_fingerprint) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "model-variant fingerprint mismatch: checkpoint %016llx vs "
-                  "configured variant %016llx (%s)",
-                  static_cast<unsigned long long>(decoded.variant_fingerprint),
-                  static_cast<unsigned long long>(expected_variant_fingerprint),
-                  path_.c_str());
-    return fail(buf);
-  }
-  if (!nn::ValidateParametersPayload(params_payload, *module)) {
-    return fail("parameter payload does not match module in " + path_);
-  }
-  const auto& adam_params = adam->params();
-  if (decoded.adam.m.size() != adam_params.size() ||
-      decoded.adam.v.size() != adam_params.size()) {
-    return fail("adam state does not match optimizer in " + path_);
-  }
-  for (std::size_t k = 0; k < adam_params.size(); ++k) {
-    const std::size_t n = static_cast<std::size_t>(adam_params[k].size());
-    if (decoded.adam.m[k].size() != n || decoded.adam.v[k].size() != n) {
-      return fail("adam state does not match optimizer in " + path_);
-    }
   }
 
   // Phase 3 — apply parameters + moments only; pre-validated, cannot fail.
-  if (!adam->ImportState(decoded.adam)) {
-    return fail("adam import rejected state from " + path_);
-  }
-  if (!nn::ApplyParametersPayload(params_payload, module)) {
-    return fail("parameter apply rejected payload from " + path_);
+  if (!adam->ImportState(loaded.state.adam) ||
+      !nn::ApplyParametersPayload(loaded.params_payload, module)) {
+    if (error != nullptr) *error = "warm start could not apply " + path_;
+    return false;
   }
   obs_warm_starts.Inc();
-  span.SetArg("bytes", static_cast<std::int64_t>(image.size()));
+  span.SetArg("bytes", static_cast<std::int64_t>(loaded.image.size()));
   return true;
 }
 

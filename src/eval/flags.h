@@ -3,9 +3,13 @@
 
 // Tiny argv flag parser shared by the paper-reproduction harnesses and the
 // command-line tools.
-// Supports --name=value and --name value forms; unknown flags abort with the
-// accepted list so harnesses stay self-documenting.
+// Supports --name=value and --name value forms. An unknown flag, or a value
+// that GetInt/GetDouble cannot parse in full, exits with status 2 and the
+// accepted list, so harnesses stay self-documenting and never run on a
+// half-parsed number.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -21,7 +25,7 @@ class Flags {
   /// `spec` maps flag name -> default value (as string). Flags not in the
   /// spec are rejected.
   Flags(int argc, char** argv, std::map<std::string, std::string> spec)
-      : values_(std::move(spec)) {
+      : defaults_(spec), values_(std::move(spec)) {
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
       if (arg.rfind("--", 0) != 0) Die(arg);
@@ -40,9 +44,17 @@ class Flags {
   }
 
   std::string Get(const std::string& name) const { return values_.at(name); }
-  int GetInt(const std::string& name) const { return std::stoi(values_.at(name)); }
+  int GetInt(const std::string& name) const {
+    int value = 0;
+    if (!ParseWhole(values_.at(name), &value)) DieBadValue(name, "an integer");
+    return value;
+  }
   double GetDouble(const std::string& name) const {
-    return std::stod(values_.at(name));
+    double value = 0.0;
+    if (!ParseWhole(values_.at(name), &value) || !std::isfinite(value)) {
+      DieBadValue(name, "a finite number");
+    }
+    return value;
   }
   std::vector<std::string> GetList(const std::string& name) const {
     std::vector<std::string> out;
@@ -55,14 +67,34 @@ class Flags {
   }
 
  private:
+  /// True iff all of `text` is one number that fits in `*out`.
+  template <typename T>
+  static bool ParseWhole(const std::string& text, T* out) {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+    return !text.empty() && ec == std::errc() && ptr == end;
+  }
+
   [[noreturn]] void Die(const std::string& arg) const {
     std::fprintf(stderr, "unknown flag %s; accepted flags:\n", arg.c_str());
-    for (const auto& [k, v] : values_) {
+    ListFlagsAndExit();
+  }
+
+  [[noreturn]] void DieBadValue(const std::string& name,
+                                const char* expected) const {
+    std::fprintf(stderr, "invalid value '%s' for --%s (expected %s); accepted flags:\n",
+                 values_.at(name).c_str(), name.c_str(), expected);
+    ListFlagsAndExit();
+  }
+
+  [[noreturn]] void ListFlagsAndExit() const {
+    for (const auto& [k, v] : defaults_) {
       std::fprintf(stderr, "  --%s (default: %s)\n", k.c_str(), v.c_str());
     }
     std::exit(2);
   }
 
+  const std::map<std::string, std::string> defaults_;
   std::map<std::string, std::string> values_;
 };
 

@@ -13,7 +13,7 @@ namespace nn {
 /// registered at construction time; optimizers iterate `parameters()`.
 ///
 /// Ownership model: parameters are Tensors (shared handles), so a Module and
-/// an Optimizer referring to the same parameter see the same storage.
+/// an optimizer referring to the same parameter see the same storage.
 class Module {
  public:
   virtual ~Module() = default;

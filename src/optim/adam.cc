@@ -7,7 +7,7 @@ namespace optim {
 
 Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
            float eps, float weight_decay)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
@@ -30,7 +30,7 @@ AdamState Adam::ExportState() const {
   return state;
 }
 
-bool Adam::ImportState(const AdamState& state) {
+bool Adam::CanImport(const AdamState& state) const {
   if (state.step < 0) return false;
   if (state.m.size() != m_.size() || state.v.size() != v_.size()) return false;
   for (std::size_t k = 0; k < m_.size(); ++k) {
@@ -38,11 +38,35 @@ bool Adam::ImportState(const AdamState& state) {
       return false;
     }
   }
+  return true;
+}
+
+bool Adam::ImportState(const AdamState& state) {
+  if (!CanImport(state)) return false;
   step_ = state.step;
   lr_ = state.lr;
   m_ = state.m;
   v_ = state.v;
   return true;
+}
+
+float Adam::ClipGradNorm(float max_norm) {
+  double sq = 0.0;
+  for (Tensor& p : params_) {
+    if (!p.has_grad()) continue;
+    const float* g = p.grad();
+    for (std::int64_t i = 0; i < p.size(); ++i) sq += static_cast<double>(g[i]) * g[i];
+  }
+  const float norm = static_cast<float>(std::sqrt(sq));
+  if (norm > max_norm && norm > 0.0f) {
+    const float scale = max_norm / norm;
+    for (Tensor& p : params_) {
+      if (!p.has_grad()) continue;
+      float* g = p.grad();
+      for (std::int64_t i = 0; i < p.size(); ++i) g[i] *= scale;
+    }
+  }
+  return norm;
 }
 
 void Adam::Step() {

@@ -83,83 +83,56 @@ std::future<Score> Engine::RejectedFuture(ServeStatus status) {
   return future;
 }
 
-std::future<Score> Engine::Submit(data::Example example) {
-  std::promise<Score> promise;
-  std::future<Score> future = promise.get_future();
+std::future<Score> Engine::Enqueue(data::Example example,
+                                   std::int64_t deadline_ns,
+                                   FullQueue full_queue) {
+  Request request;
+  request.example = std::move(example);
+  request.deadline_ns = deadline_ns;
+  std::future<Score> future = request.promise.get_future();
+  ServeStatus rejection = ServeStatus::kOk;
   {
     std::unique_lock<std::mutex> lk(mu_);
-    queue_space_.wait(lk, [this] {
-      return static_cast<int>(queue_.size()) < config_.queue_capacity ||
-             stopping_;
-    });
+    if (full_queue == FullQueue::kWait) {
+      queue_space_.wait(lk, [this] {
+        return static_cast<int>(queue_.size()) < config_.queue_capacity ||
+               stopping_;
+      });
+    }
     if (stopping_) {
       // Shutdown raced (or preceded) the enqueue: the request was never
       // queued, so it resolves immediately with an explicit status instead
-      // of aborting the process (the pre-router engine did the latter).
+      // of aborting the process.
       ++stats_.rejected_shutdown;
-      lk.unlock();
-      Score score;
-      score.status = ServeStatus::kRejectedShutdown;
-      promise.set_value(score);
-      obs_rejected_.Inc();
-      return future;
+      rejection = ServeStatus::kRejectedShutdown;
+    } else if (static_cast<int>(queue_.size()) >= config_.queue_capacity) {
+      // Bounded queue + reject-with-status: the overload policy. Shedding
+      // here keeps queueing delay bounded by capacity instead of letting
+      // latency grow without bound past saturation.
+      ++stats_.rejected_overload;
+      rejection = ServeStatus::kRejectedOverload;
+    } else {
+      request.enqueue_ns = obs::NowNanos();
+      queue_.push_back(std::move(request));
+      ++stats_.submitted;
+      stats_.max_queue_depth = std::max(
+          stats_.max_queue_depth, static_cast<std::int64_t>(queue_.size()));
+      obs_queue_depth_.Observe(static_cast<double>(queue_.size()));
     }
-    Request request;
-    request.example = std::move(example);
-    request.promise = std::move(promise);
-    request.enqueue_ns = obs::NowNanos();
-    queue_.push_back(std::move(request));
-    ++stats_.submitted;
-    stats_.max_queue_depth = std::max(
-        stats_.max_queue_depth, static_cast<std::int64_t>(queue_.size()));
-    obs_queue_depth_.Observe(static_cast<double>(queue_.size()));
   }
+  if (rejection != ServeStatus::kOk) return RejectedFuture(rejection);
   obs_requests_.Inc();
   queue_ready_.notify_one();
   return future;
 }
 
+std::future<Score> Engine::Submit(data::Example example) {
+  return Enqueue(std::move(example), /*deadline_ns=*/0, FullQueue::kWait);
+}
+
 std::future<Score> Engine::TrySubmit(data::Example example,
                                      std::int64_t deadline_ns) {
-  std::promise<Score> promise;
-  std::future<Score> future = promise.get_future();
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (stopping_) {
-      ++stats_.rejected_shutdown;
-      lk.unlock();
-      Score score;
-      score.status = ServeStatus::kRejectedShutdown;
-      promise.set_value(score);
-      obs_rejected_.Inc();
-      return future;
-    }
-    if (static_cast<int>(queue_.size()) >= config_.queue_capacity) {
-      // Bounded queue + reject-with-status: the overload policy. Shedding
-      // here keeps queueing delay bounded by capacity instead of letting
-      // latency grow without bound past saturation.
-      ++stats_.rejected_overload;
-      lk.unlock();
-      Score score;
-      score.status = ServeStatus::kRejectedOverload;
-      promise.set_value(score);
-      obs_rejected_.Inc();
-      return future;
-    }
-    Request request;
-    request.example = std::move(example);
-    request.promise = std::move(promise);
-    request.enqueue_ns = obs::NowNanos();
-    request.deadline_ns = deadline_ns;
-    queue_.push_back(std::move(request));
-    ++stats_.submitted;
-    stats_.max_queue_depth = std::max(
-        stats_.max_queue_depth, static_cast<std::int64_t>(queue_.size()));
-    obs_queue_depth_.Observe(static_cast<double>(queue_.size()));
-  }
-  obs_requests_.Inc();
-  queue_ready_.notify_one();
-  return future;
+  return Enqueue(std::move(example), deadline_ns, FullQueue::kShed);
 }
 
 Score Engine::ScoreSync(data::Example example) {

@@ -177,6 +177,15 @@ class Engine {
     const FrozenModel* model_;
   };
 
+  /// What Enqueue does when the queue is at capacity: Submit waits for
+  /// space (backpressure), TrySubmit sheds with kRejectedOverload.
+  enum class FullQueue { kWait, kShed };
+
+  /// The one enqueue path behind Submit and TrySubmit. A rejected request
+  /// resolves immediately through RejectedFuture.
+  std::future<Score> Enqueue(data::Example example, std::int64_t deadline_ns,
+                             FullQueue full_queue);
+
   void Start();
   void DispatchLoop();
   void ScoreAndFulfill(std::vector<Request>* batch);

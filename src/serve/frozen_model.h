@@ -10,6 +10,7 @@
 #include "data/example.h"
 #include "data/schema.h"
 #include "models/multi_task_model.h"
+#include "serve/shard_cache.h"
 
 namespace dcmt {
 namespace serve {
@@ -35,7 +36,10 @@ struct ScoreColumns {
 /// from multiple threads *sequentially per call site*; the forward kernels
 /// already fan out across core::ThreadPool internally. A serve-no-backward
 /// lint rule keeps this subsystem free of tape mutation.
-class FrozenModel {
+///
+/// FrozenModel is also the EmbeddingRowSource the router's sharded cache
+/// reads rows from (DESIGN.md §16).
+class FrozenModel : public EmbeddingRowSource {
  public:
   /// Freezes an owned model (e.g. freshly trained in-process).
   FrozenModel(std::unique_ptr<models::MultiTaskModel> model,
@@ -75,15 +79,12 @@ class FrozenModel {
   // (the SharedEmbeddings registration order). Zero tables means the
   // underlying variant does not use the shared embedding layer.
 
-  int EmbeddingTableCount() const {
+  int EmbeddingTableCount() const override {
     return static_cast<int>(embedding_tables_.size());
   }
-  /// Vocabulary size (row count) of `table`; 0 when out of range.
-  int EmbeddingTableRows(int table) const;
-  /// Embedding dimension of `table`; 0 when out of range.
-  int EmbeddingTableDim(int table) const;
-  /// Copies one embedding row; false when (table, id) is out of range.
-  bool EmbeddingRow(int table, int id, std::vector<float>* out) const;
+  int EmbeddingTableRows(int table) const override;
+  int EmbeddingTableDim(int table) const override;
+  bool EmbeddingRow(int table, int id, std::vector<float>* out) const override;
 
  private:
   FrozenModel(models::MultiTaskModel* model, data::FeatureSchema schema)

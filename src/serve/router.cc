@@ -86,11 +86,10 @@ std::int64_t SwappableModel::swaps() const {
 Router::Router(std::unique_ptr<const FrozenModel> model, RouterConfig config)
     : config_(config),
       model_(std::move(model)),
-      row_source_(std::make_unique<FrozenModelRowSource>(model_.active())),
       user_ring_(config.num_engines > 0 ? config.num_engines : 1,
                  config.ring_replicas),
       cache_(config.num_engines > 0 ? config.num_engines : 1,
-             config.cache_rows_per_shard, row_source_.get(),
+             config.cache_rows_per_shard, model_.active(),
              config.ring_replicas),
       deep_fields_(
           static_cast<int>(model_.active()->schema().deep_fields.size())),
@@ -170,12 +169,9 @@ std::unique_ptr<const FrozenModel> Router::Swap(
   // still point at its rows.
   std::unique_ptr<const FrozenModel> retired = model_.Swap(std::move(next));
   // Rebind + invalidate the caches. SetSource takes every shard lock, so
-  // once it returns no in-flight Get can be reading through the old source,
-  // and the old source object (and the retired model under it) is safe to
-  // drop.
-  auto new_source = std::make_unique<FrozenModelRowSource>(next_raw);
-  cache_.SetSource(new_source.get());
-  row_source_ = std::move(new_source);
+  // once it returns no in-flight Get can be reading through the retired
+  // model, and it is safe to hand back.
+  cache_.SetSource(next_raw);
   obs_swaps_.Inc();
   return retired;
 }

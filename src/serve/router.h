@@ -53,25 +53,6 @@
 namespace dcmt {
 namespace serve {
 
-/// EmbeddingRowSource over a FrozenModel's shared embedding tables.
-class FrozenModelRowSource : public EmbeddingRowSource {
- public:
-  explicit FrozenModelRowSource(const FrozenModel* model) : model_(model) {}
-  int table_count() const override { return model_->EmbeddingTableCount(); }
-  int table_rows(int table) const override {
-    return model_->EmbeddingTableRows(table);
-  }
-  int table_dim(int table) const override {
-    return model_->EmbeddingTableDim(table);
-  }
-  bool Row(int table, int id, std::vector<float>* out) const override {
-    return model_->EmbeddingRow(table, id, out);
-  }
-
- private:
-  const FrozenModel* model_;
-};
-
 /// Double-buffered hot-swappable FrozenModel (the v2-checkpoint publish
 /// path's serving end). Readers pin the active version with Acquire and
 /// must Release when done; Swap installs a new version into the inactive
@@ -185,7 +166,6 @@ class Router {
 
   RouterConfig config_;
   SwappableModel model_;
-  std::unique_ptr<FrozenModelRowSource> row_source_;  // active version's rows
   ConsistentHashRing user_ring_;
   ShardedEmbeddingCache cache_;
   std::vector<std::unique_ptr<Engine>> engines_;

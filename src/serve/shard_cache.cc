@@ -88,7 +88,7 @@ bool ShardedEmbeddingCache::Get(int table, int id, std::vector<float>* out,
   }
   if (shard.source == nullptr) return false;
   std::vector<float> row;
-  if (!shard.source->Row(table, id, &row)) return false;
+  if (!shard.source->EmbeddingRow(table, id, &row)) return false;
   ++shard.misses;
   if (static_cast<int>(shard.rows.size()) >= rows_per_shard_) {
     const RowKey victim = shard.lru.back();

@@ -64,18 +64,18 @@ class ConsistentHashRing {
 };
 
 /// Read-only provider of embedding rows, keyed by (table, row id). Tables
-/// are indexed deep fields first, then wide fields — the FrozenModel
-/// embedding-table order.
+/// are indexed deep fields first, then wide fields. serve::FrozenModel is
+/// the production implementation; tests plug in fakes.
 class EmbeddingRowSource {
  public:
   virtual ~EmbeddingRowSource() = default;
-  virtual int table_count() const = 0;
-  /// Vocabulary size of `table` (number of rows).
-  virtual int table_rows(int table) const = 0;
-  /// Embedding dimension of `table`.
-  virtual int table_dim(int table) const = 0;
+  virtual int EmbeddingTableCount() const = 0;
+  /// Vocabulary size (row count) of `table`; 0 when out of range.
+  virtual int EmbeddingTableRows(int table) const = 0;
+  /// Embedding dimension of `table`; 0 when out of range.
+  virtual int EmbeddingTableDim(int table) const = 0;
   /// Copies row `id` of `table` into `*out`; false when out of range.
-  virtual bool Row(int table, int id, std::vector<float>* out) const = 0;
+  virtual bool EmbeddingRow(int table, int id, std::vector<float>* out) const = 0;
 };
 
 /// Cache counters, aggregated over shards (monotone except resident_*).

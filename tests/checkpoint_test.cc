@@ -358,6 +358,7 @@ class CheckpointCorruptionTest : public ::testing::Test {
 
     eval::TrainCheckpointState state;
     state.fingerprint = kFingerprint;
+    state.variant_fingerprint = kVariantFingerprint;
     state.epoch = 1;
     state.loss_sum = 1.5;
     state.batches = 2;
@@ -398,10 +399,11 @@ class CheckpointCorruptionTest : public ::testing::Test {
     rng_before_ = victim_rng_->state();
   }
 
-  /// Asserts that restoring the current file fails, with cheap spot checks
-  /// that the shared victims were not touched. Tests that loop over many
-  /// mutations end with VerifyVictimsPristine() for the exhaustive check —
-  /// the victims persist, so any mutation sticks around to be caught there.
+  /// Asserts that both Restore and WarmStart reject the current file — the
+  /// warm start with a non-empty error — with cheap spot checks that the
+  /// shared victims were not touched. Tests that loop over many mutations
+  /// end with VerifyVictimsPristine() for the exhaustive check — the victims
+  /// persist, so any mutation sticks around to be caught there.
   void ExpectRejectedWithoutMutation(const std::string& label) {
     eval::Checkpointer checkpointer(dir_);
     eval::TrainCheckpointState restored;
@@ -409,7 +411,13 @@ class CheckpointCorruptionTest : public ::testing::Test {
                                       &*victim_batcher_, &*victim_rng_,
                                       &restored))
         << label;
+    std::string error;
+    EXPECT_FALSE(checkpointer.WarmStart(kVariantFingerprint, &*victim_,
+                                        &*victim_adam_, &error))
+        << label;
+    EXPECT_FALSE(error.empty()) << label;
     ASSERT_EQ(victim_adam_->step_count(), adam_before_.step) << label;
+    ASSERT_EQ(victim_->parameters()[0].ToVector(), params_before_[0]) << label;
     ASSERT_EQ(victim_rng_->state().s[0], rng_before_.s[0]) << label;
     ASSERT_EQ(victim_batcher_->SaveState().cursor, batcher_before_.cursor)
         << label;
@@ -449,6 +457,7 @@ class CheckpointCorruptionTest : public ::testing::Test {
   }
 
   static constexpr std::uint64_t kFingerprint = 0xF00DF00Du;
+  static constexpr std::uint64_t kVariantFingerprint = 0xCAFEF00Du;
 
   data::Dataset train_;
   std::string dir_;
@@ -477,6 +486,20 @@ TEST_F(CheckpointCorruptionTest, PristineCheckpointRestores) {
   EXPECT_EQ(restored.epoch_loss, std::vector<double>({0.51}));
   EXPECT_EQ(restored.best_epoch, 0);
   EXPECT_EQ(victim_adam_->step_count(), 1);
+}
+
+TEST_F(CheckpointCorruptionTest, PristineCheckpointWarmStarts) {
+  // The control for the WarmStart half of every rejection below: the same
+  // pristine file is accepted, so those rejections come from the damage.
+  eval::Checkpointer checkpointer(dir_);
+  std::string error;
+  ASSERT_TRUE(checkpointer.WarmStart(kVariantFingerprint, &*victim_,
+                                     &*victim_adam_, &error))
+      << error;
+  EXPECT_EQ(victim_adam_->step_count(), 1);
+  // Run position is not warm-started.
+  EXPECT_EQ(victim_batcher_->SaveState().cursor, batcher_before_.cursor);
+  EXPECT_EQ(victim_rng_->state().s[0], rng_before_.s[0]);
 }
 
 TEST_F(CheckpointCorruptionTest, WrongFingerprintRejected) {

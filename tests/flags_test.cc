@@ -1,5 +1,7 @@
 // Tests for the eval::Flags argv parser used by benches and dcmt_cli.
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "eval/flags.h"
@@ -57,6 +59,58 @@ TEST(FlagsTest, LastValueWins) {
   char* argv[] = {prog, a1, a2};
   const eval::Flags flags(3, argv, {{"epochs", "4"}});
   EXPECT_EQ(flags.GetInt("epochs"), 9);
+}
+
+/// Parses `--name=value` against a one-flag spec and reads it as an int.
+int ParseIntFlag(const char* name, const char* value) {
+  char prog[] = "prog";
+  std::string arg = std::string("--") + name + "=" + value;
+  char* argv[] = {prog, arg.data()};
+  return eval::Flags(2, argv, {{name, "4"}}).GetInt(name);
+}
+
+TEST(FlagsTest, NegativeIntParses) {
+  EXPECT_EQ(ParseIntFlag("threads", "-1"), -1);
+}
+
+TEST(FlagsDeathTest, NonNumericIntExits) {
+  EXPECT_EXIT(ParseIntFlag("exposures", "abc"), ::testing::ExitedWithCode(2),
+              "invalid value 'abc' for --exposures");
+}
+
+TEST(FlagsDeathTest, TrailingGarbageIntExits) {
+  EXPECT_EXIT(ParseIntFlag("exposures", "12abc"), ::testing::ExitedWithCode(2),
+              "invalid value '12abc' for --exposures");
+}
+
+TEST(FlagsDeathTest, EmptyIntExits) {
+  EXPECT_EXIT(ParseIntFlag("shard-rows", ""), ::testing::ExitedWithCode(2),
+              "invalid value '' for --shard-rows");
+}
+
+TEST(FlagsDeathTest, OutOfRangeIntExits) {
+  EXPECT_EXIT(ParseIntFlag("epochs", "99999999999"),
+              ::testing::ExitedWithCode(2), "invalid value '99999999999'");
+}
+
+TEST(FlagsDeathTest, MalformedDoubleExits) {
+  char prog[] = "prog";
+  char arg[] = "--lr=0.5x";
+  char* argv[] = {prog, arg};
+  const eval::Flags flags(2, argv, {{"lr", "0.01"}});
+  EXPECT_EXIT(flags.GetDouble("lr"), ::testing::ExitedWithCode(2),
+              "invalid value '0.5x' for --lr");
+}
+
+TEST(FlagsDeathTest, BadValueListsAcceptedFlagsWithDefaults) {
+  char prog[] = "prog";
+  char arg[] = "--epochs=abc";
+  char* argv[] = {prog, arg};
+  const eval::Flags flags(2, argv, {{"epochs", "4"}, {"lr", "0.01"}});
+  EXPECT_EXIT(flags.GetInt("epochs"), ::testing::ExitedWithCode(2),
+              "--epochs \\(default: 4\\)");
+  EXPECT_EXIT(flags.GetInt("epochs"), ::testing::ExitedWithCode(2),
+              "--lr \\(default: 0.01\\)");
 }
 
 TEST(FlagsDeathTest, UnknownFlagExits) {

@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "core/thread_pool.h"
+#include "support/reference_ops.h"
 #include "tensor/gradcheck.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"

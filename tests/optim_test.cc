@@ -1,5 +1,5 @@
-// Unit tests for the optimizers: analytic one-step updates, convergence on
-// convex problems, weight decay, momentum, and gradient clipping.
+// Unit tests for the Adam optimizer: analytic one-step updates, convergence
+// on convex problems, and gradient clipping.
 
 #include <cmath>
 
@@ -7,59 +7,10 @@
 
 #include "nn/linear.h"
 #include "optim/adam.h"
-#include "optim/sgd.h"
 #include "tensor/ops.h"
 
 namespace dcmt {
 namespace {
-
-/// One SGD step on f(w) = w^2 / 2 has update w -= lr * w.
-TEST(SgdTest, SingleStepMatchesFormula) {
-  Tensor w = Tensor::Scalar(4.0f, /*requires_grad=*/true);
-  optim::Sgd sgd({w}, /*lr=*/0.1f);
-  sgd.ZeroGrad();
-  ops::Scale(ops::Square(w), 0.5f).Backward();
-  sgd.Step();
-  EXPECT_NEAR(w.item(), 4.0f - 0.1f * 4.0f, 1e-6f);
-}
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-  Tensor w = Tensor::Scalar(5.0f, /*requires_grad=*/true);
-  optim::Sgd sgd({w}, 0.2f);
-  for (int i = 0; i < 100; ++i) {
-    sgd.ZeroGrad();
-    ops::Square(ops::AddScalar(w, -3.0f)).Backward();
-    sgd.Step();
-  }
-  EXPECT_NEAR(w.item(), 3.0f, 1e-3f);
-}
-
-TEST(SgdTest, MomentumAcceleratesFirstSteps) {
-  // Compare after 4 steps: classical momentum accelerates the early descent
-  // (it overshoots and oscillates later, so a long horizon would not be a
-  // fair acceleration check).
-  Tensor w1 = Tensor::Scalar(5.0f, /*requires_grad=*/true);
-  Tensor w2 = Tensor::Scalar(5.0f, /*requires_grad=*/true);
-  optim::Sgd plain({w1}, 0.05f);
-  optim::Sgd momentum({w2}, 0.05f, /*momentum=*/0.9f);
-  for (int i = 0; i < 4; ++i) {
-    plain.ZeroGrad();
-    ops::Square(w1).Backward();
-    plain.Step();
-    momentum.ZeroGrad();
-    ops::Square(w2).Backward();
-    momentum.Step();
-  }
-  EXPECT_LT(std::fabs(w2.item()), std::fabs(w1.item()));
-}
-
-TEST(SgdTest, WeightDecayShrinksWeightsWithZeroGrad) {
-  Tensor w = Tensor::Scalar(2.0f, /*requires_grad=*/true);
-  optim::Sgd sgd({w}, 0.1f, 0.0f, /*weight_decay=*/0.5f);
-  w.grad()[0] = 0.0f;  // force allocated zero gradient
-  sgd.Step();
-  EXPECT_NEAR(w.item(), 2.0f - 0.1f * 0.5f * 2.0f, 1e-6f);
-}
 
 TEST(AdamTest, FirstStepSizeIsLr) {
   // With bias correction, |step 1| == lr regardless of gradient scale.
@@ -129,10 +80,10 @@ TEST(AdamTest, FitsLogisticRegression) {
 
 TEST(ClipGradNormTest, RescalesLargeGradients) {
   Tensor w = Tensor::FromData(1, 2, {0.0f, 0.0f}, /*requires_grad=*/true);
-  optim::Sgd sgd({w}, 1.0f);
+  optim::Adam adam({w}, 1.0f);
   w.grad()[0] = 3.0f;
   w.grad()[1] = 4.0f;  // norm 5
-  const float pre = sgd.ClipGradNorm(1.0f);
+  const float pre = adam.ClipGradNorm(1.0f);
   EXPECT_NEAR(pre, 5.0f, 1e-5f);
   EXPECT_NEAR(w.grad()[0], 0.6f, 1e-5f);
   EXPECT_NEAR(w.grad()[1], 0.8f, 1e-5f);
@@ -140,10 +91,10 @@ TEST(ClipGradNormTest, RescalesLargeGradients) {
 
 TEST(ClipGradNormTest, LeavesSmallGradientsAlone) {
   Tensor w = Tensor::FromData(1, 2, {0.0f, 0.0f}, /*requires_grad=*/true);
-  optim::Sgd sgd({w}, 1.0f);
+  optim::Adam adam({w}, 1.0f);
   w.grad()[0] = 0.3f;
   w.grad()[1] = 0.4f;
-  sgd.ClipGradNorm(1.0f);
+  adam.ClipGradNorm(1.0f);
   EXPECT_FLOAT_EQ(w.grad()[0], 0.3f);
   EXPECT_FLOAT_EQ(w.grad()[1], 0.4f);
 }

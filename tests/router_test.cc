@@ -124,10 +124,10 @@ class FakeRowSource : public serve::EmbeddingRowSource {
  public:
   FakeRowSource(int tables, int rows, int dim, float bias = 0.0f)
       : tables_(tables), rows_(rows), dim_(dim), bias_(bias) {}
-  int table_count() const override { return tables_; }
-  int table_rows(int) const override { return rows_; }
-  int table_dim(int) const override { return dim_; }
-  bool Row(int table, int id, std::vector<float>* out) const override {
+  int EmbeddingTableCount() const override { return tables_; }
+  int EmbeddingTableRows(int) const override { return rows_; }
+  int EmbeddingTableDim(int) const override { return dim_; }
+  bool EmbeddingRow(int table, int id, std::vector<float>* out) const override {
     if (table < 0 || table >= tables_ || id < 0 || id >= rows_) return false;
     out->assign(static_cast<std::size_t>(dim_),
                 static_cast<float>(table * 1000 + id) + bias_);
@@ -291,8 +291,7 @@ TEST_F(RouterTest, CacheRowsMatchActiveModel) {
   std::unique_ptr<serve::FrozenModel> frozen = LoadA();
   ASSERT_NE(frozen, nullptr);
   ASSERT_GT(frozen->EmbeddingTableCount(), 0);
-  serve::FrozenModelRowSource source(frozen.get());
-  serve::ShardedEmbeddingCache cache(3, 128, &source);
+  serve::ShardedEmbeddingCache cache(3, 128, frozen.get());
   for (int table = 0; table < frozen->EmbeddingTableCount(); ++table) {
     const int rows = frozen->EmbeddingTableRows(table);
     ASSERT_GT(rows, 0);
