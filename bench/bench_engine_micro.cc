@@ -6,7 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/dcmt.h"
-#include "data/batcher.h"
+#include "data/batch.h"
 #include "data/profiles.h"
 #include "optim/adam.h"
 #include "tensor/ops.h"

@@ -14,7 +14,7 @@
 #include "core/dcmt.h"
 #include "core/obs.h"
 #include "core/thread_pool.h"
-#include "data/batcher.h"
+#include "data/batch.h"
 #include "data/generator.h"
 #include "data/profiles.h"
 #include "optim/adam.h"

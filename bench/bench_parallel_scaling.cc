@@ -13,7 +13,7 @@
 
 #include "core/dcmt.h"
 #include "core/thread_pool.h"
-#include "data/batcher.h"
+#include "data/batch.h"
 #include "data/profiles.h"
 #include "eval/experiment.h"
 #include "optim/adam.h"

@@ -16,7 +16,7 @@
 
 #include "core/dcmt.h"
 #include "core/thread_pool.h"
-#include "data/batcher.h"
+#include "data/batch.h"
 #include "data/generator.h"
 #include "data/profiles.h"
 #include "serve/engine.h"

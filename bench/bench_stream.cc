@@ -23,7 +23,7 @@
 
 #include "core/io.h"
 #include "core/thread_pool.h"
-#include "data/batcher.h"
+#include "data/batch.h"
 #include "data/generator.h"
 #include "data/profiles.h"
 #include "data/shard.h"

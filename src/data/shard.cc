@@ -112,13 +112,6 @@ std::uint64_t FingerprintSchema(const FeatureSchema& schema) {
   return h.hash();
 }
 
-std::vector<std::int64_t> ShardManifest::ShardRowCounts() const {
-  std::vector<std::int64_t> counts;
-  counts.reserve(shards.size());
-  for (const ShardInfo& s : shards) counts.push_back(s.rows);
-  return counts;
-}
-
 std::vector<std::int64_t> ShardManifest::ShardRowOffsets() const {
   std::vector<std::int64_t> offsets(shards.size() + 1, 0);
   for (std::size_t i = 0; i < shards.size(); ++i) {

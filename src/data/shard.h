@@ -84,9 +84,7 @@ struct ShardManifest {
     for (const ShardInfo& s : shards) n += s.rows;
     return n;
   }
-  /// Row count per shard, in shard order (the Batcher shard plan).
-  std::vector<std::int64_t> ShardRowCounts() const;
-  /// Prefix sums of ShardRowCounts(); size() == shards.size() + 1.
+  /// Prefix sums of the per-shard row counts; size() == shards.size() + 1.
   std::vector<std::int64_t> ShardRowOffsets() const;
 };
 

@@ -40,10 +40,43 @@ bool StreamingDataset::Open(const std::string& dir,
   return true;
 }
 
+StreamingDataset StreamingDataset::Resident(const Dataset* rows,
+                                            std::vector<std::int64_t> shard_plan) {
+  StreamingDataset out;
+  out.dir_ = rows->name();
+  out.rows_ = rows;
+  out.reshuffle_in_place_ = shard_plan.empty();
+  if (shard_plan.empty()) shard_plan.push_back(rows->size());
+  for (const std::int64_t count : shard_plan) {
+    if (count < 0) {
+      std::fprintf(stderr, "StreamingDataset: negative shard row count\n");
+      std::abort();
+    }
+    out.offsets_.push_back(out.offsets_.back() + count);
+  }
+  if (out.size() != rows->size()) {
+    std::fprintf(stderr, "StreamingDataset: shard plan does not cover the rows\n");
+    std::abort();
+  }
+  return out;
+}
+
+std::vector<std::int64_t> StreamingDataset::ShardRowCounts() const {
+  std::vector<std::int64_t> counts(offsets_.size() - 1);
+  for (std::size_t s = 0; s < counts.size(); ++s) {
+    counts[s] = offsets_[s + 1] - offsets_[s];
+  }
+  return counts;
+}
+
 bool StreamingDataset::ReadShard(int shard_index, std::vector<Example>* rows,
                                  std::string* error) const {
   if (shard_index < 0 || shard_index >= num_shards()) {
     *error = dir_ + ": shard index out of range";
+    return false;
+  }
+  if (rows_ != nullptr) {
+    *error = dir_ + ": a resident source has no shard files to decode";
     return false;
   }
   const std::string path =
@@ -65,6 +98,33 @@ bool StreamingDataset::Materialize(Dataset* out, std::string* error) const {
 
 // --- StreamingBatcher ------------------------------------------------------
 
+std::vector<std::int64_t> ShardedEpochOrder(
+    const std::vector<std::int64_t>& shard_rows, Rng* rng) {
+  std::vector<std::int64_t> offsets(shard_rows.size() + 1, 0);
+  for (std::size_t s = 0; s < shard_rows.size(); ++s) {
+    if (shard_rows[s] < 0) {
+      std::fprintf(stderr, "ShardedEpochOrder: negative shard row count\n");
+      std::abort();
+    }
+    offsets[s + 1] = offsets[s] + shard_rows[s];
+  }
+  std::vector<std::int64_t> shard_perm(shard_rows.size());
+  std::iota(shard_perm.begin(), shard_perm.end(), 0);
+  if (rng != nullptr) rng->Shuffle(&shard_perm);
+
+  std::vector<std::int64_t> order;
+  order.reserve(static_cast<std::size_t>(offsets.back()));
+  std::vector<std::int64_t> local;
+  for (const std::int64_t s : shard_perm) {
+    local.resize(static_cast<std::size_t>(shard_rows[static_cast<std::size_t>(s)]));
+    std::iota(local.begin(), local.end(), 0);
+    if (rng != nullptr) rng->Shuffle(&local);
+    const std::int64_t base = offsets[static_cast<std::size_t>(s)];
+    for (const std::int64_t r : local) order.push_back(base + r);
+  }
+  return order;
+}
+
 StreamingBatcher::StreamingBatcher(const StreamingDataset* dataset,
                                    int batch_size, Rng* rng, int prefetch_depth)
     : dataset_(dataset),
@@ -75,9 +135,10 @@ StreamingBatcher::StreamingBatcher(const StreamingDataset* dataset,
     std::fprintf(stderr, "StreamingBatcher: batch_size must be positive\n");
     std::abort();
   }
-  // Mirrors Batcher's constructor: identity order, then the first epoch's
-  // one and only shuffle — the same ShardedEpochOrder draw sequence an
-  // in-RAM Batcher with this shard plan performs.
+  // Identity order, then the first epoch's one and only shuffle.
+  // fresh_epoch_ is true, so the first Next() cannot reshuffle again:
+  // SaveState() taken right after construction captures exactly the order
+  // the first epoch trains on.
   order_.resize(static_cast<std::size_t>(dataset_->size()));
   std::iota(order_.begin(), order_.end(), 0);
   ShuffleIfNeeded();
@@ -91,9 +152,16 @@ StreamingBatcher::~StreamingBatcher() { StopPipeline(); }
 
 void StreamingBatcher::ShuffleIfNeeded() {
   if (rng_ == nullptr) return;
-  order_ = ShardedEpochOrder(dataset_->ShardRowCounts(), rng_);
+  if (dataset_->reshuffles_in_place()) {
+    // Unplanned resident rows keep the order in-RAM training has always
+    // used: each epoch is a Fisher-Yates pass over the previous one.
+    rng_->Shuffle(&order_);
+  } else {
+    order_ = ShardedEpochOrder(dataset_->ShardRowCounts(), rng_);
+  }
   if (!DeriveVisits()) {
-    // ShardedEpochOrder is shard-sequential by construction.
+    // Both orders are shard-sequential by construction (the in-place one
+    // has a single shard).
     std::fprintf(stderr, "StreamingBatcher: internal order derivation failed\n");
     std::abort();
   }
@@ -213,10 +281,32 @@ bool StreamingBatcher::EnsureVisit(std::size_t v) {
   return true;
 }
 
+const Example* StreamingBatcher::RowAt(std::int64_t pos) {
+  const std::int64_t global = order_[static_cast<std::size_t>(pos)];
+  const std::vector<Example>* resident = dataset_->resident_rows();
+  if (resident != nullptr) return &(*resident)[static_cast<std::size_t>(global)];
+  std::size_t v;
+  if (current_.shard_index >= 0) {
+    v = current_visit_;
+  } else {
+    // No shard decoded (epoch start or post-restore): locate the visit
+    // containing this order position.
+    v = static_cast<std::size_t>(
+        std::upper_bound(visit_starts_.begin(), visit_starts_.end(), pos) -
+        visit_starts_.begin() - 1);
+  }
+  while (pos >= visit_starts_[v + 1]) ++v;
+  if (!EnsureVisit(v)) return nullptr;
+  const std::int64_t base =
+      dataset_->ShardRowOffsets()[static_cast<std::size_t>(visits_[v])];
+  return &current_.rows[static_cast<std::size_t>(global - base)];
+}
+
 bool StreamingBatcher::Next(Batch* batch) {
   if (failed_) return false;
   if (cursor_ >= size()) {
-    // Epoch finished: single fresh_epoch_ clear site, mirroring Batcher.
+    // Epoch finished: report end once, then lazily start the next epoch.
+    // This is the single site that clears fresh_epoch_.
     cursor_ = 0;
     fresh_epoch_ = false;
     return false;
@@ -229,25 +319,11 @@ bool StreamingBatcher::Next(Batch* batch) {
   }
   const int count = static_cast<int>(
       std::min<std::int64_t>(batch_size_, size() - cursor_));
-  const std::vector<std::int64_t>& offsets = dataset_->ShardRowOffsets();
   BatchBuilder builder(schema(), count);
   for (int i = 0; i < count; ++i) {
-    const std::int64_t pos = cursor_ + i;
-    std::size_t v;
-    if (current_.shard_index >= 0) {
-      v = current_visit_;
-    } else {
-      // No shard resident (epoch start or post-restore): locate the visit
-      // containing this order position.
-      v = static_cast<std::size_t>(
-          std::upper_bound(visit_starts_.begin(), visit_starts_.end(), pos) -
-          visit_starts_.begin() - 1);
-    }
-    while (pos >= visit_starts_[v + 1]) ++v;
-    if (!EnsureVisit(v)) return false;
-    const std::int64_t global = order_[static_cast<std::size_t>(pos)];
-    const std::int64_t base = offsets[static_cast<std::size_t>(visits_[v])];
-    builder.Add(current_.rows[static_cast<std::size_t>(global - base)]);
+    const Example* row = RowAt(cursor_ + i);
+    if (row == nullptr) return false;
+    builder.Add(*row);
   }
   *batch = builder.Finish();
   cursor_ += count;
@@ -257,7 +333,7 @@ bool StreamingBatcher::Next(Batch* batch) {
 void StreamingBatcher::Rewind() {
   cursor_ = 0;
   fresh_epoch_ = true;
-  // Replay the same order from the top; the resident shard (if any) belongs
+  // Replay the same order from the top; the decoded shard (if any) belongs
   // to an arbitrary mid-epoch visit, so restart decoding from visit 0.
   StopPipeline();
 }
@@ -277,8 +353,14 @@ BatcherState StreamingBatcher::SaveState() const {
 bool StreamingBatcher::RestoreState(const BatcherState& state) {
   if (static_cast<std::int64_t>(state.order.size()) != size()) return false;
   if (state.cursor < 0 || state.cursor > size()) return false;
+  // The order must be a permutation of [0, size()): a repeated index would
+  // train some rows twice and others never in the resumed epoch.
+  std::vector<char> seen(static_cast<std::size_t>(size()), 0);
   for (const std::int64_t idx : state.order) {
-    if (idx < 0 || idx >= size()) return false;
+    if (idx < 0 || idx >= size() || seen[static_cast<std::size_t>(idx)]) {
+      return false;
+    }
+    seen[static_cast<std::size_t>(idx)] = 1;
   }
   // All-or-nothing: derive the visit structure on the candidate order and
   // roll back wholesale if it is not shard-sequential.

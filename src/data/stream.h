@@ -1,20 +1,17 @@
 #ifndef DCMT_DATA_STREAM_H_
 #define DCMT_DATA_STREAM_H_
 
-// Out-of-core streaming data path (DESIGN.md §15): a StreamingDataset is a
-// shard directory opened through its manifest, and a StreamingBatcher is a
-// BatchSource that trains from it while holding at most
-// 1 (current) + prefetch_depth decoded shards in memory.
+// The one batch stream the trainer reads (DESIGN.md §15). A
+// StreamingDataset is a shard directory opened through its manifest, or
+// resident in-RAM rows with an optional shard plan; a StreamingBatcher turns
+// either into epochs of minibatches (its class comment gives the epoch-order
+// rule). On disk it holds at most 1 (current) + prefetch_depth decoded
+// shards in memory; resident rows are read in place.
 //
-// Determinism contract: the epoch order is ShardedEpochOrder(shard rows,
-// rng) — identical to an in-RAM Batcher constructed with the same shard
-// plan and the same Rng — so the streaming and in-RAM paths emit
-// bit-identical batch sequences, and BatcherState saved from one restores
-// into the other. The prefetch thread only ever reads immutable inputs (the
-// manifest, the epoch's visit list snapshot, the stateless file system);
-// all mutable batcher state stays on the consumer thread, which is why
-// SaveState() racing an in-flight prefetch is benign (see
-// tests/tsan_stress_test.cc).
+// The prefetch thread only ever reads immutable inputs (the manifest, the
+// epoch's visit list snapshot, the stateless file system); all mutable
+// batcher state stays on the consumer thread, which is why SaveState()
+// racing an in-flight prefetch is benign (see tests/tsan_stress_test.cc).
 
 #include <cstdint>
 #include <memory>
@@ -23,7 +20,7 @@
 
 #include "core/io.h"
 #include "core/prefetch.h"
-#include "data/batcher.h"
+#include "data/batch.h"
 #include "data/dataset.h"
 #include "data/shard.h"
 #include "tensor/random.h"
@@ -39,9 +36,12 @@ struct StreamingConfig {
   core::FileSystem* fs = nullptr;
 };
 
-/// A shard directory opened through its manifest. Holds no row data; every
-/// access decodes from disk. ReadShard is const and thread-safe (one
-/// prefetch thread + the consumer may both call it).
+/// Rows a StreamingBatcher can train from, in one of two forms:
+///   * on disk — a shard directory opened through its manifest. Holds no row
+///     data; every access decodes from disk.
+///   * resident — in-RAM rows plus a shard plan, read in place.
+/// ReadShard is const and thread-safe (one prefetch thread + the consumer
+/// may both call it).
 class StreamingDataset {
  public:
   /// Opens `dir`, validating the manifest and the existence of every listed
@@ -50,63 +50,133 @@ class StreamingDataset {
   static bool Open(const std::string& dir, const StreamingConfig& config,
                    StreamingDataset* out, std::string* error);
 
+  /// Wraps in-RAM rows as a resident source. Nothing is copied: `rows` must
+  /// outlive the result and every batcher over it. `shard_plan` gives
+  /// per-shard row counts summing to rows->size(), as a shard directory with
+  /// those rows would have; empty means one shard of all rows, whose epochs
+  /// reshuffle the previous order in place (see StreamingBatcher).
+  static StreamingDataset Resident(const Dataset* rows,
+                                   std::vector<std::int64_t> shard_plan = {});
+
+  /// The shard directory, or the resident dataset's name.
   const std::string& dir() const { return dir_; }
-  const FeatureSchema& schema() const { return manifest_.schema; }
-  const ShardManifest& manifest() const { return manifest_; }
-  std::int64_t size() const { return offsets_.empty() ? 0 : offsets_.back(); }
-  int num_shards() const { return static_cast<int>(manifest_.shards.size()); }
-  /// Per-shard row counts in shard order (the Batcher shard plan).
-  std::vector<std::int64_t> ShardRowCounts() const {
-    return manifest_.ShardRowCounts();
+  const FeatureSchema& schema() const {
+    return rows_ != nullptr ? rows_->schema() : manifest_.schema;
   }
+  /// The on-disk manifest (empty for a resident source).
+  const ShardManifest& manifest() const { return manifest_; }
+  std::int64_t size() const { return offsets_.back(); }
+  int num_shards() const { return static_cast<int>(offsets_.size()) - 1; }
+  /// Per-shard row counts in shard order.
+  std::vector<std::int64_t> ShardRowCounts() const;
   /// Prefix sums of ShardRowCounts(); size() == num_shards() + 1.
   const std::vector<std::int64_t>& ShardRowOffsets() const { return offsets_; }
 
-  /// Decodes and validates one shard. Fail-closed; thread-safe.
+  /// The rows of a resident source, read in place; null on disk.
+  const std::vector<Example>* resident_rows() const {
+    return rows_ != nullptr ? &rows_->examples() : nullptr;
+  }
+  /// True for unplanned resident rows: the one input whose epochs reshuffle
+  /// the previous order in place instead of taking ShardedEpochOrder.
+  bool reshuffles_in_place() const { return reshuffle_in_place_; }
+
+  /// Decodes and validates one on-disk shard (a resident source has none and
+  /// fails). Fail-closed; thread-safe.
   bool ReadShard(int shard_index, std::vector<Example>* rows,
                  std::string* error) const;
 
-  /// Decodes every shard into one in-RAM Dataset (equivalence tests, small
-  /// data). The result's examples are in global row order — shard 0's rows
-  /// first — so global indices agree between the two representations.
+  /// Decodes every on-disk shard into one in-RAM Dataset (equivalence
+  /// tests, small data). The result's examples are in global row order —
+  /// shard 0's rows first — so global indices agree between the two
+  /// representations.
   bool Materialize(Dataset* out, std::string* error) const;
 
  private:
   std::string dir_;
   core::FileSystem* fs_ = nullptr;
   ShardManifest manifest_;
-  std::vector<std::int64_t> offsets_;
+  const Dataset* rows_ = nullptr;
+  bool reshuffle_in_place_ = false;
+  std::vector<std::int64_t> offsets_ = {0};
 };
 
-/// BatchSource over a StreamingDataset. Epoch semantics, SaveState wire
-/// format and RestoreState validation mirror the in-RAM Batcher exactly;
-/// the additional constraint is that a restored order must be
-/// shard-sequential (which every order this class or a shard-plan Batcher
-/// produces is). `prefetch_depth` > 0 runs one background thread decoding
-/// up to that many shards ahead; 0 decodes synchronously on the consumer
-/// thread (no concurrency at all — required when fs is fault-injecting).
-class StreamingBatcher : public BatchSource {
+/// Complete serializable position of a StreamingBatcher inside its epoch
+/// stream: the current epoch's shuffled order plus the cursor. Together with
+/// the state of the shuffle Rng this resumes batching bit-exactly mid-epoch.
+struct BatcherState {
+  std::vector<std::int64_t> order;
+  std::int64_t cursor = 0;
+  bool fresh_epoch = true;
+};
+
+/// Builds one epoch's visiting order over sharded rows: a seeded permutation
+/// of the shards, then a seeded permutation of the rows inside each shard,
+/// concatenated as flat global row indices. The result is shard-sequential —
+/// rows of one shard are contiguous in the order — which is exactly what
+/// lets a streaming reader serve it while holding a single decoded shard.
+/// With rng == nullptr the order is the identity.
+std::vector<std::int64_t> ShardedEpochOrder(
+    const std::vector<std::int64_t>& shard_rows, Rng* rng);
+
+/// Iterates a StreamingDataset in minibatches, reshuffling per epoch when a
+/// rng is provided; the final short batch of an epoch is emitted, not
+/// dropped. Next() returns false exactly once per epoch boundary, Rewind()
+/// replays the current order, SaveState()/RestoreState() resume bit-exactly.
+///
+/// The epoch order depends only on the input: unplanned resident rows
+/// reshuffle the previous epoch's order in place (the first epoch shuffles
+/// the identity), which keeps the order in-RAM training has always used;
+/// on-disk and planned resident rows take ShardedEpochOrder(shard rows,
+/// rng), restarting from the identity each epoch, so a shard directory and
+/// its materialized rows with the same plan emit bit-identical batches and
+/// share BatcherState. For one shard the two rules agree on the first epoch
+/// only.
+///
+/// On disk, `prefetch_depth` > 0 runs one background thread decoding up to
+/// that many shards ahead; 0 decodes synchronously on the consumer thread
+/// (no concurrency at all — required when fs is fault-injecting). Resident
+/// rows ignore it: nothing is decoded.
+class StreamingBatcher {
  public:
+  /// `rng` may be null for sequential order. Non-owning; `dataset` and `rng`
+  /// must outlive the batcher.
   StreamingBatcher(const StreamingDataset* dataset, int batch_size, Rng* rng,
                    int prefetch_depth = 2);
-  ~StreamingBatcher() override;
+  ~StreamingBatcher();
 
   StreamingBatcher(const StreamingBatcher&) = delete;
   StreamingBatcher& operator=(const StreamingBatcher&) = delete;
 
-  bool Next(Batch* batch) override;
-  void Rewind() override;
-  std::int64_t batches_per_epoch() const override;
-  std::int64_t size() const override { return dataset_->size(); }
-  const FeatureSchema& schema() const override { return dataset_->schema(); }
-  BatcherState SaveState() const override;
-  bool RestoreState(const BatcherState& state) override;
+  /// Fills `*batch` with the next minibatch; returns false at epoch end
+  /// (after which the next call starts a fresh, reshuffled epoch) or on a
+  /// read failure (then ok() is false).
+  bool Next(Batch* batch);
+  /// Restarts the current epoch from the beginning (no reshuffle): the next
+  /// Next() replays the order as-is, even right after an epoch boundary.
+  void Rewind();
+  std::int64_t batches_per_epoch() const;
+  /// Total rows per epoch; manifest-driven on disk, so sizing never
+  /// requires the rows to be resident.
+  std::int64_t size() const { return dataset_->size(); }
+  const FeatureSchema& schema() const { return dataset_->schema(); }
 
-  bool ok() const override { return !failed_; }
-  std::string error() const override { return error_; }
+  /// Captures the epoch order and cursor for checkpointing. (The shuffle
+  /// Rng is owned by the caller and checkpointed separately.)
+  BatcherState SaveState() const;
+  /// Restores a state captured by SaveState(). All-or-nothing: rejects a
+  /// state whose cursor does not fit, whose order is not a permutation of
+  /// [0, size()), or whose order is not shard-sequential, returning false
+  /// with the batcher unchanged.
+  bool RestoreState(const BatcherState& state);
+
+  /// An on-disk source latches !ok() on I/O or validation failure (fail
+  /// closed); a resident source never fails.
+  bool ok() const { return !failed_; }
+  const std::string& error() const { return error_; }
 
   /// Number of shard decodes performed so far (both paths), for tests that
   /// assert prefetch actually streams rather than re-decoding per batch.
+  /// Always 0 for a resident source.
   std::int64_t shards_decoded() const { return shards_decoded_; }
 
  private:
@@ -122,6 +192,8 @@ class StreamingBatcher : public BatchSource {
   /// shard-sequential.
   bool DeriveVisits();
   void StopPipeline();
+  /// The row at order position `pos`; null after a read failure.
+  const Example* RowAt(std::int64_t pos);
   /// Makes current_ the decoded shard for visit `v` (consumer thread only).
   bool EnsureVisit(std::size_t v);
   void Fail(const std::string& message);
@@ -131,9 +203,14 @@ class StreamingBatcher : public BatchSource {
   Rng* rng_;
   int prefetch_depth_;
 
-  // Epoch state — identical semantics to Batcher's fields of the same name.
+  // Epoch state.
   std::vector<std::int64_t> order_;
   std::int64_t cursor_ = 0;
+  /// True while order_ is the epoch the caller should (re)play from cursor 0
+  /// without a reshuffle. Cleared in exactly one place — the epoch-end branch
+  /// of Next() — and set again by the lazy reshuffle, the constructor,
+  /// Rewind(), and RestoreState(). Keeping a single clear site is what makes
+  /// "each epoch is shuffled exactly once" auditable.
   bool fresh_epoch_ = true;
 
   // The epoch order's shard structure: visits_[v] is the v-th distinct
@@ -142,7 +219,7 @@ class StreamingBatcher : public BatchSource {
   std::vector<int> visits_;
   std::vector<std::int64_t> visit_starts_;
 
-  // Consumer-side decode state.
+  // Consumer-side decode state (on disk only).
   DecodedShard current_;
   std::size_t current_visit_ = 0;  // valid iff current_.shard_index >= 0
 

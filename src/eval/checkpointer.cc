@@ -342,7 +342,7 @@ bool Checkpointer::Save(const nn::Module& module,
 
 bool Checkpointer::Restore(std::uint64_t expected_fingerprint,
                            nn::Module* module, optim::Adam* adam,
-                           data::BatchSource* batcher, Rng* rng,
+                           data::StreamingBatcher* batcher, Rng* rng,
                            TrainCheckpointState* state) const {
   // Successful restores are counted below; failures are derivable as
   // attempts − restores (there are too many distinct early-outs here for

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/io.h"
-#include "data/batcher.h"
+#include "data/stream.h"
 #include "eval/trainer.h"
 #include "nn/module.h"
 #include "optim/adam.h"
@@ -90,11 +90,10 @@ class Checkpointer {
   /// The entire file is parsed and checksum-verified, the fingerprint is
   /// compared, and every payload is validated against the live objects
   /// *before* the first mutation — on any failure the function returns
-  /// false and module/adam/batcher/rng are all left untouched. `batcher`
-  /// may be any BatchSource (in-RAM or streaming); its RestoreState gates
-  /// the batcher-position record.
+  /// false and module/adam/batcher/rng are all left untouched. The
+  /// batcher's RestoreState gates the batcher-position record.
   bool Restore(std::uint64_t expected_fingerprint, nn::Module* module,
-               optim::Adam* adam, data::BatchSource* batcher, Rng* rng,
+               optim::Adam* adam, data::StreamingBatcher* batcher, Rng* rng,
                TrainCheckpointState* state) const;
 
   /// Warm start (DESIGN.md §17): restores only the module parameters and

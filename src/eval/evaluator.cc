@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "core/obs.h"
-#include "data/batcher.h"
+#include "data/batch.h"
 #include "metrics/metrics.h"
 #include "models/common.h"
 

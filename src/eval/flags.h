@@ -4,9 +4,9 @@
 // Tiny argv flag parser shared by the paper-reproduction harnesses and the
 // command-line tools.
 // Supports --name=value and --name value forms. An unknown flag, or a value
-// that GetInt/GetDouble cannot parse in full, exits with status 2 and the
-// accepted list, so harnesses stay self-documenting and never run on a
-// half-parsed number.
+// that GetInt/GetPositiveInt/GetDouble cannot parse in full or rejects,
+// exits with status 2 and the accepted list, so harnesses stay
+// self-documenting and never run on a half-parsed number.
 
 #include <charconv>
 #include <cmath>
@@ -47,6 +47,12 @@ class Flags {
   int GetInt(const std::string& name) const {
     int value = 0;
     if (!ParseWhole(values_.at(name), &value)) DieBadValue(name, "an integer");
+    return value;
+  }
+  /// GetInt for a value that must be > 0, such as a batch size.
+  int GetPositiveInt(const std::string& name) const {
+    const int value = GetInt(name);
+    if (value <= 0) DieBadValue(name, "a positive integer");
     return value;
   }
   double GetDouble(const std::string& name) const {

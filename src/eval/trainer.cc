@@ -6,7 +6,7 @@
 #include <memory>
 
 #include "core/obs.h"
-#include "data/batcher.h"
+#include "data/stream.h"
 #include "eval/checkpointer.h"
 #include "eval/evaluator.h"
 #include "nn/graph_check.h"
@@ -36,10 +36,10 @@ void RestoreParameters(models::MultiTaskModel* model,
 
 /// Shared training core: everything from optimizer construction to the
 /// final checkpoint, parameterized over the batch stream. `val_split` may be
-/// null (no validation). Train() drives it with an in-RAM Batcher;
-/// TrainFromSource() with any BatchSource (streaming included).
+/// null (no validation). Train() drives it over resident rows,
+/// TrainFromSource() over whatever batcher the caller built.
 TrainHistory TrainLoop(models::MultiTaskModel* model,
-                       data::BatchSource* batcher, Rng* shuffle_rng,
+                       data::StreamingBatcher* batcher, Rng* shuffle_rng,
                        const TrainConfig& config,
                        const data::Dataset* val_split) {
   TrainHistory history;
@@ -233,7 +233,7 @@ TrainHistory TrainLoop(models::MultiTaskModel* model,
       }
     }
     if (!batcher->ok()) {
-      // A streaming source that fails mid-epoch (shard corruption, I/O
+      // An on-disk source that fails mid-epoch (shard corruption, I/O
       // error) must not let the run finish on silently truncated data:
       // fail closed, loudly.
       std::fprintf(stderr, "[train %s] batch source failed: %s\n",
@@ -338,13 +338,14 @@ TrainHistory Train(models::MultiTaskModel* model, const data::Dataset& train,
   }
 
   Rng shuffle_rng(config.seed);
-  data::Batcher batcher(&fit_split, config.batch_size, &shuffle_rng);
+  const data::StreamingDataset rows = data::StreamingDataset::Resident(&fit_split);
+  data::StreamingBatcher batcher(&rows, config.batch_size, &shuffle_rng);
   return TrainLoop(model, &batcher, &shuffle_rng, config,
                    val_split.empty() ? nullptr : &val_split);
 }
 
 TrainHistory TrainFromSource(models::MultiTaskModel* model,
-                             data::BatchSource* source, Rng* shuffle_rng,
+                             data::StreamingBatcher* source, Rng* shuffle_rng,
                              const TrainConfig& config) {
   if (config.validation_fraction > 0.0) {
     std::fprintf(stderr,

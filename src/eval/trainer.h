@@ -5,8 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "data/batcher.h"
 #include "data/dataset.h"
+#include "data/stream.h"
 #include "models/multi_task_model.h"
 #include "tensor/random.h"
 
@@ -104,18 +104,18 @@ struct TrainHistory {
 TrainHistory Train(models::MultiTaskModel* model, const data::Dataset& train,
                    const TrainConfig& config);
 
-/// Trains `model` from an arbitrary BatchSource — typically a
-/// data::StreamingBatcher over an out-of-core shard directory, or an in-RAM
-/// Batcher built with the matching shard plan for equivalence runs. The
-/// source must already be seeded; `shuffle_rng` is the Rng driving its
-/// per-epoch shuffles (checkpointed alongside, exactly as in Train). The
-/// setup fingerprint uses source->size(), so a streaming run and an in-RAM
-/// run over the same shards share checkpoints. validation_fraction must be
-/// 0 — a streaming source has no materialized tail to hold out. If the
-/// source fails mid-epoch (shard corruption, I/O error) training aborts
-/// loudly rather than finishing an epoch on silently truncated data.
+/// Trains `model` from a batcher — typically over an out-of-core shard
+/// directory, or over the materialized rows with the matching shard plan for
+/// equivalence runs. The batcher must already be seeded; `shuffle_rng` is
+/// the Rng driving its per-epoch shuffles (checkpointed alongside, exactly
+/// as in Train). The setup fingerprint uses source->size(), so an on-disk
+/// run and a resident run over the same shards share checkpoints.
+/// validation_fraction must be 0 — a shard stream has no materialized tail
+/// to hold out. If the source fails mid-epoch (shard corruption, I/O error)
+/// training aborts loudly rather than finishing an epoch on silently
+/// truncated data.
 TrainHistory TrainFromSource(models::MultiTaskModel* model,
-                             data::BatchSource* source, Rng* shuffle_rng,
+                             data::StreamingBatcher* source, Rng* shuffle_rng,
                              const TrainConfig& config);
 
 }  // namespace eval

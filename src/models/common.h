@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "data/batcher.h"
+#include "data/batch.h"
 #include "data/schema.h"
 #include "models/multi_task_model.h"
 #include "nn/embedding.h"

@@ -1,6 +1,5 @@
 #include "serve/frozen_model.h"
 
-#include <numeric>
 #include <utility>
 
 #include "core/registry.h"
@@ -100,10 +99,8 @@ ScoreColumns FrozenModel::ScoreExamples(
     const std::vector<data::Example>& examples) const {
   if (examples.empty()) return {};
   InferenceGuard guard;
-  std::vector<std::int64_t> indices(examples.size());
-  std::iota(indices.begin(), indices.end(), 0);
-  const data::Batch batch = data::MakeBatch(
-      examples, indices, 0, static_cast<int>(examples.size()), schema_);
+  const data::Batch batch = data::MakeContiguousBatch(
+      examples, 0, static_cast<int>(examples.size()), schema_);
   return ScoreBatch(batch);
 }
 

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/io.h"
-#include "data/batcher.h"
+#include "data/batch.h"
 #include "data/example.h"
 #include "data/schema.h"
 #include "models/multi_task_model.h"

@@ -26,6 +26,7 @@
 #include "core/io.h"
 #include "core/thread_pool.h"
 #include "data/generator.h"
+#include "data/stream.h"
 #include "eval/checkpointer.h"
 #include "eval/trainer.h"
 #include "optim/adam.h"
@@ -188,7 +189,8 @@ TEST(CheckpointResumeTest, SaveBeforeFirstBatchResumesBitExact) {
       const auto [fit, val] = train.SplitAt(head);
       core::Dcmt model(train.schema(), SmallModelConfig());
       Rng shuffle_rng(tc.seed);
-      data::Batcher batcher(&fit, tc.batch_size, &shuffle_rng);
+      const data::StreamingDataset rows = data::StreamingDataset::Resident(&fit);
+      data::StreamingBatcher batcher(&rows, tc.batch_size, &shuffle_rng);
       optim::Adam adam(model.parameters(), tc.learning_rate, 0.9f, 0.999f,
                        1e-8f, tc.weight_decay);
       eval::TrainCheckpointState state;
@@ -343,7 +345,8 @@ class CheckpointCorruptionTest : public ::testing::Test {
     core::Dcmt source(train_.schema(), FuzzModelConfig());
     Rng rng(9);
     rng.Normal();  // prime the spare so RngState round-trips all fields
-    data::Batcher batcher(&train_, 16, &rng);
+    const data::StreamingDataset rows = data::StreamingDataset::Resident(&train_);
+    data::StreamingBatcher batcher(&rows, 16, &rng);
     data::Batch batch;
     ASSERT_TRUE(batcher.Next(&batch));
     optim::Adam adam(source.parameters(), 1e-3f);
@@ -389,7 +392,8 @@ class CheckpointCorruptionTest : public ::testing::Test {
     mc.seed = 4242;
     victim_.emplace(train_.schema(), mc);
     victim_rng_.emplace(123);
-    victim_batcher_.emplace(&train_, 16, &*victim_rng_);
+    resident_ = data::StreamingDataset::Resident(&train_);
+    victim_batcher_.emplace(&resident_, 16, &*victim_rng_);
     victim_adam_.emplace(victim_->parameters(), 1e-3f);
     for (const Tensor& p : victim_->parameters()) {
       params_before_.push_back(p.ToVector());
@@ -460,12 +464,13 @@ class CheckpointCorruptionTest : public ::testing::Test {
   static constexpr std::uint64_t kVariantFingerprint = 0xCAFEF00Du;
 
   data::Dataset train_;
+  data::StreamingDataset resident_;
   std::string dir_;
   std::string path_;
 
   std::optional<core::Dcmt> victim_;
   std::optional<Rng> victim_rng_;
-  std::optional<data::Batcher> victim_batcher_;
+  std::optional<data::StreamingBatcher> victim_batcher_;
   std::optional<optim::Adam> victim_adam_;
   std::vector<std::vector<float>> params_before_;
   optim::AdamState adam_before_;

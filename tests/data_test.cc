@@ -1,17 +1,18 @@
 // Tests for the data substrate: dataset containers, the synthetic log
 // generator's structural properties (calibration, NMAR coupling, fake
-// negatives, determinism), batching, and CSV round-trips.
+// negatives, determinism), batching of resident rows, and CSV round-trips.
 
 #include <cstdio>
 #include <set>
 
 #include <gtest/gtest.h>
 
-#include "data/batcher.h"
+#include "data/batch.h"
 #include "data/csv.h"
 #include "data/dataset.h"
 #include "data/generator.h"
 #include "data/profiles.h"
+#include "data/stream.h"
 #include "metrics/metrics.h"
 
 namespace dcmt {
@@ -321,7 +322,8 @@ TEST(BatcherTest, CoversEveryExampleExactlyOnce) {
   data::SyntheticLogGenerator gen(SmallProfile());
   const data::Dataset train = gen.GenerateTrain();
   Rng rng(5);
-  data::Batcher batcher(&train, 512, &rng);
+  const data::StreamingDataset rows = data::StreamingDataset::Resident(&train);
+  data::StreamingBatcher batcher(&rows, 512, &rng);
   data::Batch batch;
   std::int64_t seen = 0;
   while (batcher.Next(&batch)) seen += batch.size;
@@ -332,7 +334,8 @@ TEST(BatcherTest, ReshufflesBetweenEpochs) {
   data::SyntheticLogGenerator gen(SmallProfile());
   const data::Dataset train = gen.GenerateTrain();
   Rng rng(6);
-  data::Batcher batcher(&train, 256, &rng);
+  const data::StreamingDataset rows = data::StreamingDataset::Resident(&train);
+  data::StreamingBatcher batcher(&rows, 256, &rng);
   data::Batch batch;
   ASSERT_TRUE(batcher.Next(&batch));
   const std::vector<int> first_epoch_ids = batch.deep_ids[0];
@@ -345,7 +348,8 @@ TEST(BatcherTest, ReshufflesBetweenEpochs) {
 TEST(BatcherTest, SequentialWithoutRng) {
   data::SyntheticLogGenerator gen(SmallProfile());
   const data::Dataset train = gen.GenerateTrain();
-  data::Batcher batcher(&train, 100, nullptr);
+  const data::StreamingDataset rows = data::StreamingDataset::Resident(&train);
+  data::StreamingBatcher batcher(&rows, 100, nullptr);
   data::Batch batch;
   ASSERT_TRUE(batcher.Next(&batch));
   for (int i = 0; i < batch.size; ++i) {
@@ -374,7 +378,8 @@ TEST(BatcherTest, StateSavedAtConstructionIsTheTrainedOrder) {
   data::SyntheticLogGenerator gen(SmallProfile());
   const data::Dataset train = gen.GenerateTrain();
   Rng rng(17);
-  data::Batcher batcher(&train, 512, &rng);
+  const data::StreamingDataset rows = data::StreamingDataset::Resident(&train);
+  data::StreamingBatcher batcher(&rows, 512, &rng);
   const data::BatcherState pristine = batcher.SaveState();
   EXPECT_EQ(pristine.cursor, 0);
   EXPECT_TRUE(pristine.fresh_epoch);
@@ -403,7 +408,8 @@ TEST(BatcherTest, RewindReplaysWithoutReshuffleEvenAfterEpochEnd) {
   data::SyntheticLogGenerator gen(SmallProfile());
   const data::Dataset train = gen.GenerateTrain();
   Rng rng(18);
-  data::Batcher batcher(&train, 256, &rng);
+  const data::StreamingDataset rows = data::StreamingDataset::Resident(&train);
+  data::StreamingBatcher batcher(&rows, 256, &rng);
   data::Batch batch;
   while (batcher.Next(&batch)) {
   }
@@ -422,7 +428,8 @@ TEST(BatcherTest, RewindReplaysWithoutReshuffleEvenAfterEpochEnd) {
 TEST(BatcherTest, BatchesPerEpochRoundsUp) {
   data::SyntheticLogGenerator gen(SmallProfile());
   const data::Dataset train = gen.GenerateTrain();  // 8000
-  data::Batcher batcher(&train, 3000, nullptr);
+  const data::StreamingDataset rows = data::StreamingDataset::Resident(&train);
+  data::StreamingBatcher batcher(&rows, 3000, nullptr);
   EXPECT_EQ(batcher.batches_per_epoch(), 3);
 }
 

@@ -10,7 +10,7 @@
 
 #include "core/dcmt.h"
 #include "core/twin_tower.h"
-#include "data/batcher.h"
+#include "data/batch.h"
 #include "data/generator.h"
 #include "models/common.h"
 #include "optim/adam.h"

@@ -93,6 +93,18 @@ TEST(FlagsDeathTest, OutOfRangeIntExits) {
               ::testing::ExitedWithCode(2), "invalid value '99999999999'");
 }
 
+TEST(FlagsDeathTest, NonPositiveValueForPositiveIntExits) {
+  for (const char* value : {"0", "-3"}) {
+    char prog[] = "prog";
+    std::string arg = std::string("--batch=") + value;
+    char* argv[] = {prog, arg.data()};
+    const eval::Flags flags(2, argv, {{"batch", "1024"}});
+    EXPECT_EXIT(flags.GetPositiveInt("batch"), ::testing::ExitedWithCode(2),
+                "invalid value '" + std::string(value) +
+                    "' for --batch \\(expected a positive integer\\)");
+  }
+}
+
 TEST(FlagsDeathTest, MalformedDoubleExits) {
   char prog[] = "prog";
   char arg[] = "--lr=0.5x";

@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/registry.h"
-#include "data/batcher.h"
+#include "data/batch.h"
 #include "data/profiles.h"
 #include "nn/graph_check.h"
 #include "serve/frozen_model.h"

@@ -9,7 +9,7 @@
 
 #include "core/registry.h"
 #include "core/thread_pool.h"
-#include "data/batcher.h"
+#include "data/batch.h"
 #include "data/generator.h"
 #include "data/profiles.h"
 #include "models/common.h"

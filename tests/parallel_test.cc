@@ -29,7 +29,7 @@
 #include "eval/experiment.h"
 #include "eval/trainer.h"
 #include "core/dcmt.h"
-#include "data/batcher.h"
+#include "data/batch.h"
 #include "optim/adam.h"
 #include "tensor/gradcheck.h"
 #include "tensor/ops.h"

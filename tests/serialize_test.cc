@@ -9,7 +9,7 @@
 
 #include "core/dcmt.h"
 #include "core/io.h"
-#include "data/batcher.h"
+#include "data/batch.h"
 #include "data/generator.h"
 #include "eval/evaluator.h"
 #include "eval/trainer.h"

@@ -21,7 +21,7 @@
 #include "core/obs.h"
 #include "core/registry.h"
 #include "core/thread_pool.h"
-#include "data/batcher.h"
+#include "data/batch.h"
 #include "data/generator.h"
 #include "data/profiles.h"
 #include "nn/serialize.h"

@@ -1,12 +1,16 @@
 // Tests for the out-of-core streaming data path (DESIGN.md §15):
 //   * golden equivalence — a shard directory materializes to exactly the
-//     rows Generate() would produce, and a StreamingBatcher emits the same
-//     batch sequence bit-for-bit as an in-RAM Batcher built with the shard
-//     plan, across epochs, prefetch depths, ragged final shards and ragged
-//     final batches;
-//   * state interop — BatcherState saved mid-epoch on either path restores
-//     into the other, and a training run killed mid-shard resumes
-//     bit-exactly (including crash-on-stream / resume-in-RAM);
+//     rows Generate() would produce, and a StreamingBatcher over it emits
+//     the same batch sequence bit-for-bit as one over the materialized rows
+//     held resident with the same shard plan, across epochs, prefetch
+//     depths, ragged final shards and ragged final batches;
+//   * the epoch-order rule — on-disk and planned resident data take
+//     ShardedEpochOrder every epoch, unplanned resident data reshuffles the
+//     previous order in place, and resident data never decodes a shard;
+//   * state interop — BatcherState saved mid-epoch on either form restores
+//     into the other, a training run killed mid-shard resumes bit-exactly
+//     (including crash-on-stream / resume-resident), and a forged order
+//     that is not a permutation is rejected without disturbing the batcher;
 //   * fail-closed reading — torn shard writes, in-flight byte flips,
 //     truncation, and a byte-flip fuzzer over every offset of a shard and
 //     its manifest: corruption is always rejected, never decoded.
@@ -20,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <numeric>
 #include <string>
 // dcmt-lint: allow(concurrency) — a real producer thread for the channel.
 #include <thread>
@@ -31,7 +36,6 @@
 #include "core/io.h"
 #include "core/prefetch.h"
 #include "core/thread_pool.h"
-#include "data/batcher.h"
 #include "data/generator.h"
 #include "data/shard.h"
 #include "data/stream.h"
@@ -130,7 +134,8 @@ void ExpectBatchesEqual(const data::Batch& a, const data::Batch& b) {
 
 /// Drains `epochs` full epochs from a source (Next() returning false marks
 /// each boundary); the flat batch list is the equivalence artifact.
-std::vector<data::Batch> CollectEpochs(data::BatchSource* source, int epochs) {
+std::vector<data::Batch> CollectEpochs(data::StreamingBatcher* source,
+                                       int epochs) {
   std::vector<data::Batch> batches;
   for (int e = 0; e < epochs; ++e) {
     data::Batch batch;
@@ -191,8 +196,10 @@ TEST(StreamTest, StreamingMatchesInRamBatcherAcrossEpochsAndDepths) {
   ASSERT_TRUE(streaming.Materialize(&materialized, &error)) << error;
 
   // Batch 96 over 1000 rows: ten full batches plus a ragged 40-row one.
+  const data::StreamingDataset resident = data::StreamingDataset::Resident(
+      &materialized, streaming.ShardRowCounts());
   Rng ram_rng(17);
-  data::Batcher ram(&materialized, 96, &ram_rng, streaming.ShardRowCounts());
+  data::StreamingBatcher ram(&resident, 96, &ram_rng);
   const std::vector<data::Batch> golden = CollectEpochs(&ram, 3);
   ASSERT_EQ(static_cast<std::int64_t>(golden.size()),
             3 * ram.batches_per_epoch());
@@ -238,6 +245,96 @@ TEST(StreamTest, RewindReplaysIdenticalEpoch) {
 }
 
 // ---------------------------------------------------------------------------
+// The epoch-order rule
+// ---------------------------------------------------------------------------
+
+/// A Fisher-Yates pass spelled out, independent of Rng::Shuffle.
+void FisherYates(std::vector<std::int64_t>* values, Rng* rng) {
+  for (std::size_t i = values->size() - 1; i > 0; --i) {
+    const std::size_t j = static_cast<std::size_t>(rng->NextBounded(i + 1));
+    std::swap((*values)[i], (*values)[j]);
+  }
+}
+
+/// Drains the current epoch and starts the next; returns the order the next
+/// epoch trains on (its reshuffle happens lazily, on its first Next()).
+std::vector<std::int64_t> AdvanceEpoch(data::StreamingBatcher* batcher) {
+  data::Batch batch;
+  while (batcher->Next(&batch)) {
+  }
+  EXPECT_TRUE(batcher->Next(&batch));
+  return batcher->SaveState().order;
+}
+
+TEST(StreamTest, UnplannedResidentReshufflesPreviousOrderInPlace) {
+  data::SyntheticLogGenerator generator(StreamProfile());
+  const data::Dataset rows = generator.Generate(1000, /*stream=*/1);
+  const data::StreamingDataset resident = data::StreamingDataset::Resident(&rows);
+  EXPECT_TRUE(resident.reshuffles_in_place());
+  Rng rng(29);
+  Rng expected_rng = rng;  // replays the batcher's draws
+  data::StreamingBatcher batcher(&resident, 96, &rng);
+
+  // Epoch 0 is one pass over the identity, epoch k one pass over epoch
+  // k-1's order — not a fresh ShardedEpochOrder from the identity.
+  std::vector<std::int64_t> expected(1000);
+  std::iota(expected.begin(), expected.end(), 0);
+  FisherYates(&expected, &expected_rng);
+  EXPECT_EQ(batcher.SaveState().order, expected);
+  for (int k = 1; k <= 3; ++k) {
+    FisherYates(&expected, &expected_rng);
+    EXPECT_EQ(AdvanceEpoch(&batcher), expected) << "epoch " << k;
+  }
+}
+
+TEST(StreamTest, OnDiskAndPlannedResidentTakeShardedEpochOrderEveryEpoch) {
+  const std::string dir = GenShardsOrDie("order_sharded", 1000, 192);
+  const data::StreamingDataset streaming = OpenOrDie(dir);
+  data::Dataset materialized;
+  std::string error;
+  ASSERT_TRUE(streaming.Materialize(&materialized, &error)) << error;
+  const data::StreamingDataset resident = data::StreamingDataset::Resident(
+      &materialized, streaming.ShardRowCounts());
+  const std::vector<std::int64_t> counts = streaming.ShardRowCounts();
+
+  for (const data::StreamingDataset* source : {&streaming, &resident}) {
+    EXPECT_FALSE(source->reshuffles_in_place());
+    Rng rng(37);
+    Rng expected_rng = rng;
+    data::StreamingBatcher batcher(source, 96, &rng, 0);
+    EXPECT_EQ(batcher.SaveState().order,
+              data::ShardedEpochOrder(counts, &expected_rng));
+    for (int k = 1; k <= 3; ++k) {
+      EXPECT_EQ(AdvanceEpoch(&batcher),
+                data::ShardedEpochOrder(counts, &expected_rng))
+          << source->dir() << " epoch " << k;
+    }
+  }
+}
+
+TEST(StreamTest, ResidentSourceDecodesNoShards) {
+  const std::string dir = GenShardsOrDie("order_resident", 1000, 192);
+  const data::StreamingDataset streaming = OpenOrDie(dir);
+  data::Dataset materialized;
+  std::string error;
+  ASSERT_TRUE(streaming.Materialize(&materialized, &error)) << error;
+  const data::StreamingDataset planned = data::StreamingDataset::Resident(
+      &materialized, streaming.ShardRowCounts());
+  const data::StreamingDataset unplanned =
+      data::StreamingDataset::Resident(&materialized);
+  EXPECT_EQ(unplanned.num_shards(), 1);
+
+  for (const data::StreamingDataset* source : {&planned, &unplanned}) {
+    Rng rng(3);
+    data::StreamingBatcher batcher(source, 96, &rng, 2);
+    const std::vector<data::Batch> batches = CollectEpochs(&batcher, 2);
+    EXPECT_EQ(static_cast<std::int64_t>(batches.size()),
+              2 * batcher.batches_per_epoch());
+    EXPECT_EQ(batcher.shards_decoded(), 0);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // State interop (SaveState / RestoreState across paths, kill + resume)
 // ---------------------------------------------------------------------------
 
@@ -277,8 +374,10 @@ TEST(StreamTest, InRamStateSavedMidShortFinalShardRestoresIntoStreaming) {
   std::string error;
   ASSERT_TRUE(streaming.Materialize(&materialized, &error)) << error;
 
+  const data::StreamingDataset resident = data::StreamingDataset::Resident(
+      &materialized, streaming.ShardRowCounts());
   Rng ram_rng(47);
-  data::Batcher ram(&materialized, 96, &ram_rng, streaming.ShardRowCounts());
+  data::StreamingBatcher ram(&resident, 96, &ram_rng);
   data::Batch batch;
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(ram.Next(&batch));  // cursor 960
   const data::BatcherState saved = ram.SaveState();
@@ -297,22 +396,24 @@ TEST(StreamTest, InRamStateSavedMidShortFinalShardRestoresIntoStreaming) {
 }
 
 TEST(StreamTest, InRamBatcherWithShardPlanSaveRestoreShortFinalShard) {
-  // Satellite for the Batcher itself: save/restore with a shard plan whose
-  // final shard is short, no streaming involved.
+  // Save/restore over planned resident rows whose final shard is short, no
+  // shard decoding involved.
   const std::string dir = GenShardsOrDie("state_plan", 1000, 192);
   const data::StreamingDataset streaming = OpenOrDie(dir);
   data::Dataset materialized;
   std::string error;
   ASSERT_TRUE(streaming.Materialize(&materialized, &error)) << error;
+  const data::StreamingDataset resident = data::StreamingDataset::Resident(
+      &materialized, streaming.ShardRowCounts());
 
   Rng rng_a(53);
-  data::Batcher a(&materialized, 96, &rng_a, streaming.ShardRowCounts());
+  data::StreamingBatcher a(&resident, 96, &rng_a);
   data::Batch batch;
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(a.Next(&batch));
   const data::BatcherState saved = a.SaveState();
 
   Rng rng_b(53);
-  data::Batcher b(&materialized, 96, &rng_b, streaming.ShardRowCounts());
+  data::StreamingBatcher b(&resident, 96, &rng_b);
   ASSERT_TRUE(b.RestoreState(saved));
   const std::vector<data::Batch> rest_a = CollectEpochs(&a, 2);
   const std::vector<data::Batch> rest_b = CollectEpochs(&b, 2);
@@ -346,6 +447,45 @@ TEST(StreamTest, StreamingRejectsNonShardSequentialOrder) {
             batcher.batches_per_epoch());
 }
 
+TEST(StreamTest, RestoreRejectsOrderRepeatingAnIndexInsideOneShard) {
+  // A CRC-valid checkpoint can still carry a forged position: an order that
+  // stays in range and shard-sequential but repeats one row of a shard (and
+  // so drops another) would train a wrong epoch. Unplanned resident and
+  // on-disk batchers both reject it and keep their state.
+  const std::string dir = GenShardsOrDie("state_forged", 1000, 192);
+  const data::StreamingDataset streaming = OpenOrDie(dir);
+  data::Dataset materialized;
+  std::string error;
+  ASSERT_TRUE(streaming.Materialize(&materialized, &error)) << error;
+  const data::StreamingDataset resident =
+      data::StreamingDataset::Resident(&materialized);
+
+  for (const data::StreamingDataset* source : {&resident, &streaming}) {
+    Rng rng(41);
+    data::StreamingBatcher batcher(source, 96, &rng, 0);
+    Rng twin_rng(41);
+    data::StreamingBatcher twin(source, 96, &twin_rng, 0);
+    data::Batch batch;
+    ASSERT_TRUE(batcher.Next(&batch));
+    ASSERT_TRUE(twin.Next(&batch));
+
+    data::BatcherState forged = batcher.SaveState();
+    // Order positions 0 and 1 lie in the first shard's run.
+    forged.order[1] = forged.order[0];
+    forged.cursor = 0;
+    EXPECT_FALSE(batcher.RestoreState(forged)) << source->dir();
+
+    // Rolled back: the batcher continues exactly as its untouched twin.
+    EXPECT_TRUE(batcher.ok());
+    const std::vector<data::Batch> rest = CollectEpochs(&batcher, 2);
+    const std::vector<data::Batch> twin_rest = CollectEpochs(&twin, 2);
+    EXPECT_EQ(rest.size(), twin_rest.size()) << source->dir();
+    for (std::size_t i = 0; i < std::min(rest.size(), twin_rest.size()); ++i) {
+      ExpectBatchesEqual(rest[i], twin_rest[i]);
+    }
+  }
+}
+
 models::ModelConfig SmallModelConfig() {
   models::ModelConfig config;
   config.embedding_dim = 4;
@@ -376,12 +516,15 @@ TEST(StreamTest, TrainFromStreamMatchesInRamTrainingBitExact) {
   std::string error;
   ASSERT_TRUE(streaming.Materialize(&materialized, &error)) << error;
 
+  const data::StreamingDataset resident = data::StreamingDataset::Resident(
+      &materialized, streaming.ShardRowCounts());
+
   for (const int threads : {1, 4}) {
     core::ThreadPool::Global().SetNumThreads(threads);
 
     core::Dcmt ram_model(streaming.schema(), SmallModelConfig());
     Rng ram_rng(StreamTrainConfig().seed);
-    data::Batcher ram(&materialized, 96, &ram_rng, streaming.ShardRowCounts());
+    data::StreamingBatcher ram(&resident, 96, &ram_rng);
     const eval::TrainHistory ram_history =
         eval::TrainFromSource(&ram_model, &ram, &ram_rng, StreamTrainConfig());
 
@@ -435,8 +578,8 @@ TEST(StreamTest, KillAndResumeMidShardIsBitExact) {
 
 TEST(StreamTest, CrashOnStreamResumesInRamBitExact) {
   // The setup fingerprint is computed from source->size(), so a checkpoint
-  // written by a streaming run restores into an in-RAM run over the same
-  // shards — the strongest form of the two paths being the same pipeline.
+  // written by an on-disk run restores into a resident run over the same
+  // shards — the strongest form of the two forms being the same pipeline.
   core::ThreadPool::Global().SetNumThreads(1);
   const std::string dir = GenShardsOrDie("train_cross_resume", 1000, 192);
   const data::StreamingDataset streaming = OpenOrDie(dir);
@@ -468,8 +611,10 @@ TEST(StreamTest, CrashOnStreamResumesInRamBitExact) {
   resume.checkpoint_every = 1;
   resume.resume = true;
   {
+    const data::StreamingDataset resident = data::StreamingDataset::Resident(
+        &materialized, streaming.ShardRowCounts());
     Rng rng(resume.seed);
-    data::Batcher batcher(&materialized, 96, &rng, streaming.ShardRowCounts());
+    data::StreamingBatcher batcher(&resident, 96, &rng);
     eval::TrainFromSource(&model, &batcher, &rng, resume);
   }
 
@@ -711,7 +856,7 @@ TEST(StreamTest, DestroyMidEpochJoinsBlockedPrefetchWorker) {
     ASSERT_TRUE(batcher.Next(&batch));
     // Give the worker time to fill the channel and block on the next push.
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    // Batcher destroyed here with the pipeline mid-flight.
+    // StreamingBatcher destroyed here with the pipeline mid-flight.
   }
 }
 

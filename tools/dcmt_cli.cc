@@ -80,7 +80,7 @@
 #include "core/obs.h"
 #include "core/registry.h"
 #include "core/thread_pool.h"
-#include "data/batcher.h"
+#include "data/batch.h"
 #include "data/csv.h"
 #include "data/profiles.h"
 #include "data/shard.h"
@@ -274,7 +274,7 @@ int TrainCmd(int argc, char** argv) {
 
   eval::TrainConfig config;
   config.epochs = flags.GetInt("epochs");
-  config.batch_size = flags.GetInt("batch");
+  config.batch_size = flags.GetPositiveInt("batch");
   config.learning_rate = static_cast<float>(flags.GetDouble("lr"));
   config.weight_decay = static_cast<float>(flags.GetDouble("weight-decay"));
   config.validation_fraction = flags.GetDouble("val-fraction");
@@ -313,25 +313,23 @@ int TrainCmd(int argc, char** argv) {
     }
     model = core::CreateModel(flags.Get("model"), dataset.schema(),
                               ModelConfigFromFlags(flags));
-    Rng shuffle_rng(config.seed);
-    if (flags.GetInt("stream") != 0) {
-      data::StreamingBatcher batcher(&dataset, config.batch_size, &shuffle_rng,
-                                     flags.GetInt("prefetch-depth"));
-      history = eval::TrainFromSource(model.get(), &batcher, &shuffle_rng,
-                                      config);
-    } else {
-      // Equivalence baseline: materialize the shards but keep the identical
-      // shard-planned epoch order, so the loss trace must match --stream=1.
-      data::Dataset materialized;
+    // --stream=0 is the equivalence baseline: the same batcher over the
+    // materialized rows with the same shard plan, so the epoch order — and
+    // the loss trace — must match --stream=1.
+    data::Dataset materialized;
+    data::StreamingDataset source = dataset;
+    if (flags.GetInt("stream") == 0) {
       if (!dataset.Materialize(&materialized, &error)) {
         std::fprintf(stderr, "train: %s\n", error.c_str());
         return 1;
       }
-      data::Batcher batcher(&materialized, config.batch_size, &shuffle_rng,
-                            dataset.ShardRowCounts());
-      history = eval::TrainFromSource(model.get(), &batcher, &shuffle_rng,
-                                      config);
+      source = data::StreamingDataset::Resident(&materialized,
+                                                dataset.ShardRowCounts());
     }
+    Rng shuffle_rng(config.seed);
+    data::StreamingBatcher batcher(&source, config.batch_size, &shuffle_rng,
+                                   flags.GetInt("prefetch-depth"));
+    history = eval::TrainFromSource(model.get(), &batcher, &shuffle_rng, config);
   } else {
     data::Dataset train;
     if (!data::ReadCsv(flags.Get("train"), &train)) {
@@ -462,7 +460,7 @@ int CheckGraphCmd(int argc, char** argv) {
                            {"lambda1", "1.0"},
                            {"seed", "7"}});
   data::DatasetProfile profile = data::ProfileByName(flags.Get("profile"));
-  const int batch_size = flags.GetInt("batch");
+  const int batch_size = flags.GetPositiveInt("batch");
   // A few batches worth of exposures is plenty: the tape's structure does
   // not depend on the batch contents, only on the schema and model.
   profile.train_exposures = std::max(batch_size, 64);
@@ -896,7 +894,7 @@ int ContinualCmd(int argc, char** argv) {
   base.variant = flags.Get("model");
   base.model = ModelConfigFromFlags(flags);
   base.train.epochs = flags.GetInt("epochs");
-  base.train.batch_size = flags.GetInt("batch");
+  base.train.batch_size = flags.GetPositiveInt("batch");
   base.train.learning_rate = static_cast<float>(flags.GetDouble("lr"));
   base.train.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
   base.pretrain_exposures = std::max<std::int64_t>(1, flags.GetInt("pretrain"));

@@ -161,11 +161,13 @@ if [[ "${DCMT_SKIP_OBS:-0}" != "1" ]]; then
 fi
 
 # Streaming data path (DESIGN.md §15): prove out-of-core training end to end
-# through the CLI — generate a sharded dataset, train 50 steps through the
-# StreamingBatcher and again through the materialized in-RAM path with the
-# same shard plan, and require the per-step loss traces to be byte-identical.
-# The stream_test suite (shard codec, fault injection, fuzzer) also reruns
-# under ASan/UBSan since it is the repo's newest raw-byte parsing surface.
+# through the CLI — generate a sharded dataset, train 50 steps from the shard
+# directory (--stream=1) and again from the materialized rows held resident
+# in RAM with the same shard plan, through the same batcher (--stream=0),
+# and require the per-step loss traces to be byte-identical. A non-positive
+# --batch must be a usage error (exit 2), not a batcher abort. The
+# stream_test suite (shard codec, fault injection, fuzzer) also reruns under
+# ASan/UBSan since it is the repo's newest raw-byte parsing surface.
 # Skippable with DCMT_SKIP_STREAM=1.
 if [[ "${DCMT_SKIP_STREAM:-0}" != "1" ]]; then
   STREAM_DIR="$BUILD_DIR/stream_equivalence"
@@ -187,6 +189,11 @@ if [[ "${DCMT_SKIP_STREAM:-0}" != "1" ]]; then
     || { echo "stream equivalence FAILED: expected 50 recorded steps"; exit 1; }
   cmp "$STREAM_DIR/model1.bin" "$STREAM_DIR/model0.bin" \
     || { echo "stream equivalence FAILED: checkpoints differ"; exit 1; }
+  batch_zero_status=0
+  "$BUILD_DIR"/tools/dcmt_cli train --train-shards="$STREAM_DIR/shards" \
+    --batch=0 --ckpt="$STREAM_DIR/batch0.bin" 2>/dev/null || batch_zero_status=$?
+  [[ "$batch_zero_status" == "2" ]] \
+    || { echo "stream stage FAILED: --batch=0 exited $batch_zero_status, not 2"; exit 1; }
   if [[ "${DCMT_SKIP_SANITIZE:-0}" != "1" ]]; then
     SAN_DIR="${BUILD_DIR}-asan"
     cmake -B "$SAN_DIR" -S . \
