@@ -15,26 +15,12 @@ float SigmoidF(float x) {
   return e / (1.0f + e);
 }
 
-/// Stateless 64-bit mix (splitmix64 finalizer) for deterministic per-pair noise.
-std::uint64_t Mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// Deterministic U(0,1) for a key (same construction as the online
-/// simulator's paired event resolution).
-float HashUniform(std::uint64_t key) {
-  return static_cast<float>(Mix(key) >> 40) * (1.0f / 16777216.0f);
-}
-
 /// Deterministic standard-normal-ish draw for a key: sum of 4 uniforms,
 /// centered and scaled (Irwin-Hall approximation; adequate for noise terms).
 float HashNormal(std::uint64_t key) {
   float acc = 0.0f;
   for (int i = 0; i < 4; ++i) {
-    key = Mix(key);
+    key = Mix64(key);
     acc += static_cast<float>(key >> 40) * (1.0f / 16777216.0f);
   }
   // Sum of 4 U(0,1): mean 2, var 4/12 -> scale to unit variance.
@@ -217,7 +203,7 @@ float SyntheticLogGenerator::ConversionUtility(int user, int item,
 void SyntheticLogGenerator::Calibrate() {
   // Sample a pilot population of exposures and bisection-fit the intercepts.
   constexpr int kPilot = 20000;
-  Rng rng(Mix(profile_.seed ^ 0xca11b7a7e5eedULL));
+  Rng rng(Mix64(profile_.seed ^ 0xca11b7a7e5eedULL));
   std::vector<float> click_utils(kPilot);
   std::vector<float> conv_utils(kPilot);
   for (int s = 0; s < kPilot; ++s) {
@@ -332,15 +318,15 @@ Example SyntheticLogGenerator::DrawExposure(Rng* rng) const {
     // (user, item, position) like the SCM's idiosyncratic noise.
     e.convert_lag_days = DrawConversionLagDays(
         profile_.conversion_lag,
-        Mix(noise_salt_ ^ (static_cast<std::uint64_t>(user) << 32 |
-                           static_cast<std::uint64_t>(item))) ^
-            Mix(static_cast<std::uint64_t>(pos) + 7919));
+        Mix64(noise_salt_ ^ (static_cast<std::uint64_t>(user) << 32 |
+                             static_cast<std::uint64_t>(item))) ^
+            Mix64(static_cast<std::uint64_t>(pos) + 7919));
   }
   return e;
 }
 
 Dataset SyntheticLogGenerator::Generate(std::int64_t count, std::uint64_t stream) {
-  Rng rng(Mix(profile_.seed) ^ Mix(stream ^ 0x5eedf00dULL));
+  Rng rng(Mix64(profile_.seed) ^ Mix64(stream ^ 0x5eedf00dULL));
   std::vector<Example> examples;
   examples.reserve(static_cast<std::size_t>(count));
   for (std::int64_t s = 0; s < count; ++s) {
@@ -361,7 +347,7 @@ bool SyntheticLogGenerator::GenerateToShards(const std::string& dir,
     return false;
   }
   ShardWriter writer(dir, Schema(), config);
-  Rng rng(Mix(profile_.seed) ^ Mix(stream ^ 0x5eedf00dULL));
+  Rng rng(Mix64(profile_.seed) ^ Mix64(stream ^ 0x5eedf00dULL));
   for (std::int64_t s = 0; s < count; ++s) {
     writer.Append(DrawExposure(&rng));
     if (!writer.ok()) break;  // I/O already failed; stop drawing

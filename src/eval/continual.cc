@@ -11,7 +11,6 @@
 #include "data/stream.h"
 #include "eval/table.h"
 #include "metrics/metrics.h"
-#include "nn/serialize.h"
 #include "serve/frozen_model.h"
 #include "serve/router.h"
 
@@ -288,13 +287,6 @@ ContinualResult ContinualLoop::Run() {
     std::unique_ptr<models::MultiTaskModel> model =
         retrain(/*matured_through=*/-1, &stats, &history);
     if (model == nullptr) return result;  // budget exhausted before serving
-    // The pretrained weights are persisted standalone so the lag=0
-    // equivalence test can replay them through the static A/B simulator.
-    if (!nn::SaveParameters(*model, config_.work_dir + "/model-pretrain.ckpt",
-                            config_.fs)) {
-      std::fprintf(stderr, "[continual] cannot save pretrain parameters\n");
-      std::abort();
-    }
     publish(std::move(model));
     current = {stats, history.steps, history.seconds};
   }
@@ -352,7 +344,7 @@ ContinualResult ContinualLoop::Run() {
       std::vector<float> unique_pctcvr(plan.unique_rows.size(), 0.0f);
       std::vector<float> unique_pcvr(plan.unique_rows.size(), 0.0f);
       for (std::size_t i = 0; i < plan.unique_rows.size(); ++i) {
-        const serve::Score score = router->ScoreSync(plan.unique_rows[i]);
+        const serve::Score score = router->Submit(plan.unique_rows[i]).get();
         if (!score.ok()) {
           ++result.dropped_requests;
           obs_dropped.Inc();

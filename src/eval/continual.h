@@ -71,8 +71,7 @@ struct ContinualConfig {
   bool warm_start = true;
 
   /// Root directory for shard logs, as-of training sets, and checkpoints.
-  /// Required. Layout: pretrain/, log-dDDD-sS/, asof-rRRR/, ckpt/rRRR/,
-  /// model-pretrain.ckpt.
+  /// Required. Layout: pretrain/, log-dDDD-sS/, asof-rRRR/, ckpt/rRRR/.
   std::string work_dir;
   std::int64_t rows_per_shard = 4096;
 

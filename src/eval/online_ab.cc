@@ -2,37 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <numeric>
 #include <unordered_map>
 
 #include "core/obs.h"
-#include "serve/engine.h"
 #include "serve/frozen_model.h"
+#include "tensor/random.h"
 
 namespace dcmt {
 namespace eval {
 namespace {
 
-std::uint64_t Mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// Deterministic U(0,1) for an event key: the same (day, pv, item, position)
-/// event resolves identically in every bucket, which pairs the buckets and
-/// reduces A/B variance exactly like serving the same user twice would.
-float HashUniform(std::uint64_t key) {
-  return static_cast<float>(Mix(key) >> 40) * (1.0f / 16777216.0f);
-}
-
 /// Deterministic approximate N(0,1) (Irwin–Hall over 4 uniforms).
 float HashNormal(std::uint64_t key) {
   float acc = 0.0f;
   for (std::uint64_t i = 0; i < 4; ++i) {
-    acc += HashUniform(key ^ Mix(i + 0x5deece66dULL));
+    acc += HashUniform(key ^ Mix64(i + 0x5deece66dULL));
   }
   return (acc - 2.0f) * 1.7320508f;
 }
@@ -41,11 +26,11 @@ float HashNormal(std::uint64_t key) {
 /// fresh deterministic N(0,1) step per elapsed day. Day 0 is the undrifted
 /// world the buckets' models were (pre)trained on.
 float DriftWalk(std::uint64_t seed, int day, int item) {
-  const std::uint64_t salt = Mix(seed ^ 0x64726966742d7377ULL) ^
-                             Mix(static_cast<std::uint64_t>(item) + 104729);
+  const std::uint64_t salt = Mix64(seed ^ 0x64726966742d7377ULL) ^
+                             Mix64(static_cast<std::uint64_t>(item) + 104729);
   float walk = 0.0f;
   for (int t = 1; t <= day; ++t) {
-    walk += HashNormal(salt ^ Mix(static_cast<std::uint64_t>(t) * 2654435761ULL));
+    walk += HashNormal(salt ^ Mix64(static_cast<std::uint64_t>(t) * 2654435761ULL));
   }
   return walk;
 }
@@ -64,7 +49,7 @@ DayTraffic BuildDayTraffic(const data::SyntheticLogGenerator& generator,
   const auto& profile = generator.profile();
   // The day's traffic, identical for every bucket/policy: the stream depends
   // only on (seed, day), never on any model's choices.
-  Rng traffic(Mix(config.seed) ^ Mix(static_cast<std::uint64_t>(day) + 17));
+  Rng traffic(Mix64(config.seed) ^ Mix64(static_cast<std::uint64_t>(day) + 17));
   DayTraffic out;
   out.stream.resize(static_cast<std::size_t>(config.page_views_per_day));
   for (auto& pv : out.stream) {
@@ -130,10 +115,10 @@ void RollDayOutcomes(const data::SyntheticLogGenerator& generator,
       // same exposure resolves identically under every policy (stateless
       // keyed draws), the variance-pairing trick of the A/B platform.
       const std::uint64_t event_key =
-          Mix(static_cast<std::uint64_t>(day) * 1000003ULL + p) ^
-          Mix(static_cast<std::uint64_t>(pv.user) << 32 |
-              static_cast<std::uint64_t>(item)) ^
-          Mix(static_cast<std::uint64_t>(slot) + 31337);
+          Mix64(static_cast<std::uint64_t>(day) * 1000003ULL + p) ^
+          Mix64(static_cast<std::uint64_t>(pv.user) << 32 |
+                static_cast<std::uint64_t>(item)) ^
+          Mix64(static_cast<std::uint64_t>(slot) + 31337);
       const float p_click = generator.TrueClickProbability(pv.user, item, slot);
       const bool clicked = HashUniform(event_key) < p_click;
       float p_conv = generator.TrueConversionProbability(pv.user, item, slot);
@@ -226,23 +211,20 @@ std::vector<BucketResult> OnlineAbSimulator::Run(
   std::int64_t posterior_exposures = 0, posterior_clicks = 0,
                posterior_convs = 0;
 
-  // Serving stack, one per bucket, reused across days: each bucket's model
-  // behind a frozen view and a micro-batching engine. Scores are identical
-  // to a taped Forward over the raw candidate list (forward kernels are
-  // row-independent; see serve::FrozenModel), but the serving path is
-  // tape-free and — with the dedupe in BuildScoringPlan — embeds each
-  // distinct (user, item) pair once instead of once per duplicate slot.
+  // Each bucket's model behind a frozen view, reused across days. Scores are
+  // identical to a taped Forward over the raw candidate list (forward
+  // kernels are row-independent at any batch composition; see
+  // serve::FrozenModel), but the path is tape-free and — with the dedupe in
+  // BuildScoringPlan — embeds each distinct (user, item) pair once instead
+  // of once per duplicate slot.
   std::vector<serve::FrozenModel> frozen;
-  frozen.reserve(bucket_models.size());  // engines keep pointers into this
-  std::vector<std::unique_ptr<serve::Engine>> engines;
-  serve::EngineConfig engine_config;
-  engine_config.max_batch = 4096;
-  engine_config.queue_capacity = 8192;
+  frozen.reserve(bucket_models.size());
   for (models::MultiTaskModel* model : bucket_models) {
     frozen.push_back(serve::FrozenModel::View(model, generator_->Schema()));
-    engines.push_back(
-        std::make_unique<serve::Engine>(&frozen.back(), engine_config));
   }
+  // Rows per forward: bounds the activation arena however many distinct
+  // candidates a day has.
+  constexpr std::size_t kScoreChunkRows = 4096;
 
   for (int day = 0; day < config_.days; ++day) {
     const DayTraffic traffic = BuildDayTraffic(*generator_, config_, day);
@@ -252,7 +234,7 @@ std::vector<BucketResult> OnlineAbSimulator::Run(
         static_cast<std::int64_t>(plan.slot_to_row.size());
 
     for (std::size_t b = 0; b < bucket_models.size(); ++b) {
-      // Score the unique rows through the bucket's serving engine, then
+      // Score the unique rows through the bucket's frozen model, then
       // expand to per-candidate-slot columns.
       std::vector<float> score_ctcvr;
       std::vector<float> score_cvr;
@@ -261,11 +243,24 @@ std::vector<BucketResult> OnlineAbSimulator::Run(
       {
         obs::TraceSpan score_span("ab/score", "candidates", day_candidates);
         const std::int64_t score_t0 = obs::NowNanos();
-        const std::vector<serve::Score> unique_scores =
-            engines[b]->ScoreAll(plan.unique_rows);
+        const std::vector<data::Example>& rows = plan.unique_rows;
+        std::vector<float> unique_ctcvr;
+        std::vector<float> unique_cvr;
+        for (std::size_t first = 0; first < rows.size();
+             first += kScoreChunkRows) {
+          const std::size_t last = std::min(first + kScoreChunkRows, rows.size());
+          const serve::ScoreColumns chunk =
+              frozen[b].ScoreExamples(std::vector<data::Example>(
+                  rows.begin() + static_cast<std::ptrdiff_t>(first),
+                  rows.begin() + static_cast<std::ptrdiff_t>(last)));
+          unique_ctcvr.insert(unique_ctcvr.end(), chunk.pctcvr.begin(),
+                              chunk.pctcvr.end());
+          unique_cvr.insert(unique_cvr.end(), chunk.pcvr.begin(),
+                            chunk.pcvr.end());
+        }
         for (const std::size_t row : plan.slot_to_row) {
-          score_ctcvr.push_back(unique_scores[row].pctcvr);
-          score_cvr.push_back(unique_scores[row].pcvr);
+          score_ctcvr.push_back(unique_ctcvr[row]);
+          score_cvr.push_back(unique_cvr[row]);
         }
         obs_score_seconds[b].Add(
             static_cast<double>(obs::NowNanos() - score_t0) * 1e-9);

@@ -27,27 +27,19 @@ constexpr double kLatencyHiSeconds = 1.0;
 
 }  // namespace
 
-const char* ServeStatusName(ServeStatus status) {
-  switch (status) {
-    case ServeStatus::kOk:
-      return "ok";
-    case ServeStatus::kRejectedShutdown:
-      return "rejected_shutdown";
-    case ServeStatus::kRejectedOverload:
-      return "rejected_overload";
-  }
-  return "unknown";
-}
-
 Engine::Engine(const FrozenModel* model, EngineConfig config)
     : fixed_source_(model), source_(&fixed_source_), config_(config) {
   if (model == nullptr) Fatal("Engine requires a FrozenModel");
+  schema_ = model->schema();
   Start();
 }
 
 Engine::Engine(ModelSource* source, EngineConfig config)
     : fixed_source_(nullptr), source_(source), config_(config) {
   if (source == nullptr) Fatal("Engine requires a ModelSource");
+  std::uint64_t ticket = 0;
+  schema_ = source_->Acquire(&ticket)->schema();
+  source_->Release(ticket);
   Start();
 }
 
@@ -83,23 +75,36 @@ std::future<Score> Engine::RejectedFuture(ServeStatus status) {
   return future;
 }
 
-std::future<Score> Engine::Enqueue(data::Example example,
-                                   std::int64_t deadline_ns,
-                                   FullQueue full_queue) {
+bool Engine::FitsSchema(const data::Example& example) const {
+  const auto fits = [](const std::vector<int>& ids,
+                       const std::vector<data::FieldSpec>& fields) {
+    if (ids.size() != fields.size()) return false;
+    for (std::size_t f = 0; f < ids.size(); ++f) {
+      if (ids[f] < 0 || ids[f] >= fields[f].vocab_size) return false;
+    }
+    return true;
+  };
+  return fits(example.deep_ids, schema_.deep_fields) &&
+         fits(example.wide_ids, schema_.wide_fields);
+}
+
+std::future<Score> Engine::TrySubmit(data::Example example,
+                                     std::int64_t deadline_ns) {
+  // The schema is immutable, so the check needs no lock. A malformed row
+  // must never reach the dispatcher: an out-of-vocabulary id aborts the
+  // embedding gather, and a short id list reads past its end in assembly.
+  const bool fits = FitsSchema(example);
   Request request;
   request.example = std::move(example);
   request.deadline_ns = deadline_ns;
   std::future<Score> future = request.promise.get_future();
   ServeStatus rejection = ServeStatus::kOk;
   {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (full_queue == FullQueue::kWait) {
-      queue_space_.wait(lk, [this] {
-        return static_cast<int>(queue_.size()) < config_.queue_capacity ||
-               stopping_;
-      });
-    }
-    if (stopping_) {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (!fits) {
+      ++stats_.rejected_invalid;
+      rejection = ServeStatus::kRejectedInvalid;
+    } else if (stopping_) {
       // Shutdown raced (or preceded) the enqueue: the request was never
       // queued, so it resolves immediately with an explicit status instead
       // of aborting the process.
@@ -126,38 +131,12 @@ std::future<Score> Engine::Enqueue(data::Example example,
   return future;
 }
 
-std::future<Score> Engine::Submit(data::Example example) {
-  return Enqueue(std::move(example), /*deadline_ns=*/0, FullQueue::kWait);
-}
-
-std::future<Score> Engine::TrySubmit(data::Example example,
-                                     std::int64_t deadline_ns) {
-  return Enqueue(std::move(example), deadline_ns, FullQueue::kShed);
-}
-
-Score Engine::ScoreSync(data::Example example) {
-  return Submit(std::move(example)).get();
-}
-
-std::vector<Score> Engine::ScoreAll(const std::vector<data::Example>& examples) {
-  std::vector<std::future<Score>> futures;
-  futures.reserve(examples.size());
-  for (const data::Example& example : examples) {
-    futures.push_back(Submit(example));
-  }
-  std::vector<Score> scores;
-  scores.reserve(futures.size());
-  for (auto& future : futures) scores.push_back(future.get());
-  return scores;
-}
-
 void Engine::Shutdown() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     stopping_ = true;
   }
   queue_ready_.notify_all();
-  queue_space_.notify_all();
   // Every Shutdown caller — including racing ones — must observe the drain
   // as complete on return, or a caller could destroy the engine while
   // another's join is still in flight. join_mu_ serializes the join; late
@@ -223,7 +202,6 @@ void Engine::DispatchLoop() {
         ++stats_.flushed_deadline;
       }
     }
-    queue_space_.notify_all();
     ScoreAndFulfill(&batch);
   }
 }
@@ -247,7 +225,7 @@ void Engine::ScoreAndFulfill(std::vector<Request>* batch) {
   obs_batch_size_.Observe(static_cast<double>(batch->size()));
 
   // Count the batch before fulfilling any promise: a caller whose future
-  // just resolved must already see itself in stats() (ScoreSync-then-stats
+  // just resolved must already see itself in stats() (submit-wait-then-stats
   // is a natural pattern, and the tests rely on it).
   {
     std::unique_lock<std::mutex> lk(mu_);

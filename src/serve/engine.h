@@ -17,6 +17,7 @@
 
 #include "core/obs.h"
 #include "data/example.h"
+#include "data/schema.h"
 #include "serve/frozen_model.h"
 
 namespace dcmt {
@@ -33,8 +34,8 @@ struct EngineConfig {
   /// enqueue timestamp, and its batch waits the full max_wait from *that*
   /// moment (pinned by ServeTest.DeadlineAnchorsAtFirstEnqueueOfBatch).
   int max_wait_micros = 200;
-  /// Submit() blocks (backpressure) while this many requests are queued;
-  /// TrySubmit() rejects with kRejectedOverload instead of blocking.
+  /// TrySubmit() rejects with kRejectedOverload while this many requests
+  /// are queued.
   int queue_capacity = 4096;
 };
 
@@ -49,9 +50,12 @@ enum class ServeStatus : std::uint8_t {
   /// TrySubmit() found the bounded queue at capacity — the explicit
   /// load-shedding policy of the router tier (DESIGN.md §16).
   kRejectedOverload = 2,
+  /// The request does not fit the model's FeatureSchema: an id count that
+  /// differs from the field count, or an id outside [0, vocab). Scoring it
+  /// would abort the process (or read past the id lists), so it is never
+  /// queued.
+  kRejectedInvalid = 3,
 };
-
-const char* ServeStatusName(ServeStatus status);
 
 /// One request's serving scores. `status` is kOk for scored requests; a
 /// rejected request carries zeroed scores and the rejection reason.
@@ -71,8 +75,9 @@ struct EngineStats {
   std::int64_t flushed_full = 0;      // batch reached max_batch
   std::int64_t flushed_deadline = 0;  // max_wait or a request deadline expired
   std::int64_t flushed_drain = 0;     // partial batch flushed while stopping
-  std::int64_t rejected_shutdown = 0;  // Submit/TrySubmit after Shutdown
+  std::int64_t rejected_shutdown = 0;  // TrySubmit after Shutdown
   std::int64_t rejected_overload = 0;  // TrySubmit against a full queue
+  std::int64_t rejected_invalid = 0;   // request does not fit the schema
   std::int64_t max_queue_depth = 0;
   std::int64_t max_batch_scored = 0;
 };
@@ -94,11 +99,12 @@ class ModelSource {
 
 /// Micro-batching scoring engine over a FrozenModel (DESIGN.md §13).
 ///
-/// Producers Submit() single rows into a bounded MPSC queue; one dispatcher
-/// thread coalesces them into batches under a max-batch/max-wait deadline
-/// policy and scores each batch through FrozenModel::ScoreExamples (which
-/// fans out across core::ThreadPool). Each Submit returns a future fulfilled
-/// when its batch completes.
+/// Producers TrySubmit() single rows into a bounded MPSC queue; one
+/// dispatcher thread coalesces them into batches under a max-batch/max-wait
+/// deadline policy and scores each batch through FrozenModel::ScoreExamples
+/// (which fans out across core::ThreadPool). Each TrySubmit returns a future
+/// fulfilled when its batch completes. TrySubmit is the only way in: a full
+/// queue sheds, it never blocks the caller.
 ///
 /// Determinism: per-row forward kernels are batch-composition-independent
 /// (see FrozenModel), so a request's Score does not depend on which requests
@@ -109,7 +115,8 @@ class ModelSource {
 /// the dispatcher. Shutdown is idempotent and safe to race from several
 /// threads: every caller returns only after the drain + join completed.
 /// Submitting after Shutdown resolves the future immediately with
-/// ServeStatus::kRejectedShutdown — it never aborts.
+/// ServeStatus::kRejectedShutdown — it never aborts. A request that does
+/// not fit the model's schema resolves immediately with kRejectedInvalid.
 ///
 /// Observability: queue depth, batch size, and request latency histograms
 /// plus request/batch/rejection counters, recorded through dcmt::obs under
@@ -126,27 +133,18 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Enqueues one row; blocks while the queue is at capacity. The returned
-  /// future is fulfilled by the dispatcher after the row's batch is scored,
-  /// or immediately with kRejectedShutdown when the engine is stopping.
-  std::future<Score> Submit(data::Example example);
-
-  /// Non-blocking Submit with an optional absolute deadline (obs::NowNanos
-  /// clock; 0 = none). A full queue rejects immediately with
-  /// kRejectedOverload instead of exerting backpressure — the router tier's
-  /// load-shedding primitive. A request deadline tightens its batch's flush
-  /// time: the batch flushes at min(first-enqueue + max_wait, earliest
-  /// member deadline), which is how the router propagates request budgets
-  /// into the micro-batcher.
+  /// Enqueues one row with an optional absolute deadline (obs::NowNanos
+  /// clock; 0 = none). The returned future is fulfilled by the dispatcher
+  /// after the row's batch is scored, or immediately with a rejection:
+  /// kRejectedInvalid for a row that does not fit the schema,
+  /// kRejectedShutdown when the engine is stopping, and kRejectedOverload
+  /// when the queue is at capacity — the router tier's load-shedding
+  /// primitive. A request deadline tightens its batch's flush time: the
+  /// batch flushes at min(first-enqueue + max_wait, earliest member
+  /// deadline), which is how the router propagates request budgets into the
+  /// micro-batcher.
   std::future<Score> TrySubmit(data::Example example,
                                std::int64_t deadline_ns = 0);
-
-  /// Submit + wait, for callers without their own pipelining.
-  Score ScoreSync(data::Example example);
-
-  /// Bulk helper: submits every row (pipelining against the dispatcher) and
-  /// waits for all scores, returned in input order.
-  std::vector<Score> ScoreAll(const std::vector<data::Example>& examples);
 
   /// Drains all queued requests through scoring, then joins the dispatcher.
   /// Idempotent; concurrent callers all block until the drain completed.
@@ -177,16 +175,10 @@ class Engine {
     const FrozenModel* model_;
   };
 
-  /// What Enqueue does when the queue is at capacity: Submit waits for
-  /// space (backpressure), TrySubmit sheds with kRejectedOverload.
-  enum class FullQueue { kWait, kShed };
-
-  /// The one enqueue path behind Submit and TrySubmit. A rejected request
-  /// resolves immediately through RejectedFuture.
-  std::future<Score> Enqueue(data::Example example, std::int64_t deadline_ns,
-                             FullQueue full_queue);
-
   void Start();
+  /// True when every id count matches its field count and every id is in
+  /// [0, vocab) of `schema_`.
+  bool FitsSchema(const data::Example& example) const;
   void DispatchLoop();
   void ScoreAndFulfill(std::vector<Request>* batch);
   std::future<Score> RejectedFuture(ServeStatus status);
@@ -194,10 +186,12 @@ class Engine {
   FixedSource fixed_source_;
   ModelSource* source_;
   const EngineConfig config_;
+  // The served model's schema, copied at construction. Every version a
+  // router publishes shares it.
+  data::FeatureSchema schema_;
 
   mutable std::mutex mu_;
   std::condition_variable queue_ready_;  // producers -> dispatcher
-  std::condition_variable queue_space_;  // dispatcher -> blocked producers
   std::deque<Request> queue_;
   bool stopping_ = false;
   EngineStats stats_;

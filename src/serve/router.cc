@@ -156,10 +156,6 @@ std::future<Score> Router::Submit(const data::Example& example,
   return engine.TrySubmit(example, deadline_ns);
 }
 
-Score Router::ScoreSync(const data::Example& example) {
-  return Submit(example).get();
-}
-
 std::unique_ptr<const FrozenModel> Router::Swap(
     std::unique_ptr<const FrozenModel> next) {
   const FrozenModel* next_raw = next.get();
@@ -188,6 +184,7 @@ RouterStats Router::stats() const {
     stats.scored += es.scored;
     stats.rejected_overload += es.rejected_overload;
     stats.rejected_shutdown += es.rejected_shutdown;
+    stats.rejected_invalid += es.rejected_invalid;
     stats.per_engine.push_back(es);
   }
   stats.swaps = model_.swaps();

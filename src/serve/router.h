@@ -112,6 +112,7 @@ struct RouterStats {
   std::int64_t scored = 0;
   std::int64_t rejected_overload = 0;
   std::int64_t rejected_shutdown = 0;
+  std::int64_t rejected_invalid = 0;
   std::int64_t swaps = 0;
   ShardCacheStats cache;
   std::vector<EngineStats> per_engine;
@@ -131,14 +132,11 @@ class Router {
   /// Routes one request: resolves its embedding rows through the owning
   /// shard caches, then enqueues into the user's engine with the given
   /// budget (config.default_deadline_micros when omitted). Never blocks:
-  /// overload or shutdown resolve the future immediately with the
-  /// corresponding rejection status.
+  /// a request that does not fit the schema, overload, or shutdown resolve
+  /// the future immediately with the corresponding rejection status.
   std::future<Score> Submit(const data::Example& example);
   std::future<Score> Submit(const data::Example& example,
                             std::int64_t deadline_micros);
-
-  /// Submit + wait.
-  Score ScoreSync(const data::Example& example);
 
   /// Zero-drop hot model swap; see SwappableModel::Swap. Also rebinds and
   /// invalidates the embedding caches so resident rows never outlive the

@@ -7,14 +7,6 @@
 namespace dcmt {
 namespace serve {
 
-std::uint64_t ConsistentHashRing::Mix(std::uint64_t x) {
-  // SplitMix64 finalizer: cheap, deterministic, well-distributed.
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 ConsistentHashRing::ConsistentHashRing(int num_shards, int replicas)
     : num_shards_(num_shards) {
   if (num_shards < 1 || replicas < 1) {
@@ -27,9 +19,9 @@ ConsistentHashRing::ConsistentHashRing(int num_shards, int replicas)
   for (int shard = 0; shard < num_shards; ++shard) {
     for (int replica = 0; replica < replicas; ++replica) {
       const std::uint64_t point =
-          Mix((static_cast<std::uint64_t>(static_cast<std::uint32_t>(shard))
-               << 32) |
-              static_cast<std::uint32_t>(replica));
+          Mix64((static_cast<std::uint64_t>(static_cast<std::uint32_t>(shard))
+                 << 32) |
+                static_cast<std::uint32_t>(replica));
       points_.push_back({point, shard});
     }
   }
@@ -42,7 +34,7 @@ ConsistentHashRing::ConsistentHashRing(int num_shards, int replicas)
 }
 
 int ConsistentHashRing::ShardFor(std::uint64_t key) const {
-  const std::uint64_t h = Mix(key);
+  const std::uint64_t h = Mix64(key);
   // First ring point clockwise of h, wrapping past the top.
   auto it = std::lower_bound(points_.begin(), points_.end(), h,
                              [](const Point& p, std::uint64_t hash) {

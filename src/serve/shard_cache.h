@@ -35,6 +35,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "tensor/random.h"
+
 namespace dcmt {
 namespace serve {
 
@@ -49,10 +51,6 @@ class ConsistentHashRing {
   int ShardFor(std::uint64_t key) const;
 
   int num_shards() const { return num_shards_; }
-
-  /// Stateless 64-bit mix (SplitMix64 finalizer) used for ring points and
-  /// key hashing; exposed so tests can place keys deliberately.
-  static std::uint64_t Mix(std::uint64_t x);
 
  private:
   struct Point {
@@ -131,7 +129,7 @@ class ShardedEmbeddingCache {
   };
   struct RowKeyHash {
     std::size_t operator()(const RowKey& k) const {
-      return static_cast<std::size_t>(ConsistentHashRing::Mix(
+      return static_cast<std::size_t>(Mix64(
           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.table))
            << 32) |
           static_cast<std::uint32_t>(k.id)));

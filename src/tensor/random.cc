@@ -5,20 +5,17 @@
 namespace dcmt {
 namespace {
 
-std::uint64_t SplitMix64(std::uint64_t* state) {
-  std::uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t RotL(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
+  // SplitMix64 stream: the i-th draw is Mix64(seed + i * gamma).
   std::uint64_t sm = seed;
-  for (auto& s : state_) s = SplitMix64(&sm);
+  for (auto& s : state_) {
+    s = Mix64(sm);
+    sm += 0x9e3779b97f4a7c15ULL;
+  }
 }
 
 std::uint64_t Rng::NextUint64() {

@@ -6,6 +6,24 @@
 
 namespace dcmt {
 
+/// Stateless 64-bit mix: the SplitMix64 step applied to `x` (add the golden
+/// gamma, then the finalizer). Cheap, deterministic and well distributed;
+/// the generator's keyed noise, the A/B traffic seeds and event draws, the
+/// serving hash rings and Rng seeding all hash through this one function.
+inline std::uint64_t Mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// Deterministic U(0,1) for a key: the 24 high bits of Mix64(key), the same
+/// float construction as Rng::Uniform. The same key resolves identically
+/// everywhere, which is what pairs A/B buckets on one event.
+inline float HashUniform(std::uint64_t key) {
+  return static_cast<float>(Mix64(key) >> 40) * (1.0f / 16777216.0f);
+}
+
 /// Complete serializable state of an Rng: restoring it resumes the stream at
 /// exactly the draw where it was captured (including the cached Box-Muller
 /// spare, which matters for bit-exact Normal() replay).

@@ -31,10 +31,11 @@
 #include "data/generator.h"
 #include "data/shard.h"
 #include "data/stream.h"
+#include "eval/checkpointer.h"
 #include "eval/continual.h"
 #include "eval/online_ab.h"
 #include "eval/oracle_ranker.h"
-#include "nn/serialize.h"
+#include "optim/adam.h"
 
 namespace dcmt {
 namespace {
@@ -243,10 +244,15 @@ TEST(ContinualTest, Lag0NeverRefreshMatchesStaticAbBitExact) {
   EXPECT_EQ(result.retrains, 1);  // the pretrain only
   EXPECT_FALSE(result.halted);
 
-  // Static A/B over the same traffic with the pretrained weights.
+  // Static A/B over the same traffic with the pretrained weights: retrain 0
+  // ends with an epoch-end checkpoint of exactly the parameters it served.
   auto model = core::CreateModel("dcmt", generator.Schema(), config.model);
-  ASSERT_TRUE(nn::LoadParameters(model.get(),
-                                 config.work_dir + "/model-pretrain.ckpt"));
+  optim::Adam adam(model->parameters());
+  std::string warm_error;
+  ASSERT_TRUE(eval::Checkpointer(config.work_dir + "/ckpt/r000")
+                  .WarmStart(eval::FingerprintModelVariant(*model, "dcmt"),
+                             model.get(), &adam, &warm_error))
+      << warm_error;
   eval::OnlineAbSimulator sim(&generator, config.ab);
   const auto ab = sim.Run({model.get()}, {"dcmt"});
   ASSERT_EQ(ab.size(), 1u);

@@ -318,7 +318,7 @@ TEST(OracleRankerTest, EmitsGroundTruthPropensities) {
 
 TEST_F(OnlineAbTest, BucketScoresMatchTapedForwardOverRawCandidateList) {
   // Regression for the serving rewrite: the simulator now dedupes repeated
-  // (user, item) candidates and scores them tape-free through serve::Engine.
+  // (user, item) candidates and scores them tape-free through a frozen view.
   // Day-1 CVR predictions must still equal, bit for bit, a taped Forward
   // over the *raw* (duplicated) candidate list — the pre-dedupe semantics.
   eval::OnlineAbSimulator sim(generator_.get(), config_);
@@ -328,13 +328,7 @@ TEST_F(OnlineAbTest, BucketScoresMatchTapedForwardOverRawCandidateList) {
 
   // Rebuild day 0's candidate stream exactly as the simulator draws it
   // (same splitmix64 day seed, same draw order, same skew transform).
-  auto mix = [](std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  };
-  Rng traffic(mix(config_.seed) ^ mix(17));
+  Rng traffic(Mix64(config_.seed) ^ Mix64(17));
   std::vector<data::Example> raw_rows;
   raw_rows.reserve(got.size());
   for (int pv = 0; pv < config_.page_views_per_day; ++pv) {

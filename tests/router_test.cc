@@ -370,7 +370,7 @@ TEST_F(RouterTest, DeadlinePropagationFlushesBeforeMaxWait) {
   config.default_deadline_micros = 20000;    // 20ms request budget
   serve::Router router(std::move(frozen), config);
   const auto start = std::chrono::steady_clock::now();
-  const serve::Score got = router.ScoreSync(rows_.front());
+  const serve::Score got = router.Submit(rows_.front()).get();
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_EQ(got.status, serve::ServeStatus::kOk);
   // Way below max_wait (generous bound for slow CI); the request's own
@@ -410,13 +410,55 @@ TEST_F(RouterTest, SubmitAfterShutdownRejectsWithStatus) {
   std::unique_ptr<serve::FrozenModel> frozen = LoadA();
   ASSERT_NE(frozen, nullptr);
   serve::Router router(std::move(frozen), {});
-  EXPECT_EQ(router.ScoreSync(rows_.front()).status, serve::ServeStatus::kOk);
+  EXPECT_EQ(router.Submit(rows_.front()).get().status, serve::ServeStatus::kOk);
   router.Shutdown();
   router.Shutdown();  // idempotent
-  const serve::Score rejected = router.ScoreSync(rows_.front());
+  const serve::Score rejected = router.Submit(rows_.front()).get();
   EXPECT_EQ(rejected.status, serve::ServeStatus::kRejectedShutdown);
   EXPECT_EQ(rejected.pctcvr, 0.0f);
   EXPECT_EQ(router.stats().rejected_shutdown, 1);
+}
+
+TEST_F(RouterTest, MalformedRequestsRejectInvalidAndValidNeighboursScoreExactly) {
+  std::unique_ptr<serve::FrozenModel> reference = LoadA();
+  ASSERT_NE(reference, nullptr);
+  const std::vector<float> want = Expected(*reference);
+  std::unique_ptr<serve::FrozenModel> frozen = LoadA();
+  ASSERT_NE(frozen, nullptr);
+  serve::RouterConfig config;
+  config.num_engines = 2;
+  serve::Router router(std::move(frozen), config);
+
+  // Scored, an out-of-vocabulary deep id would abort the process in the
+  // embedding gather, and a short id list would read past its end on the
+  // dispatcher thread.
+  data::Example out_of_vocab = rows_[0];
+  out_of_vocab.deep_ids[0] = train_.schema().deep_fields[0].vocab_size;
+  data::Example short_ids = rows_[0];
+  short_ids.deep_ids.pop_back();
+  // dcmt-lint: allow(concurrency) — future tokens carry the scores.
+  std::future<serve::Score> valid_0 = router.Submit(rows_[0]);
+  // dcmt-lint: allow(concurrency) — future tokens carry the rejections.
+  std::future<serve::Score> bad_0 = router.Submit(out_of_vocab);
+  // dcmt-lint: allow(concurrency) — future tokens carry the rejections.
+  std::future<serve::Score> bad_1 = router.Submit(short_ids);
+  // dcmt-lint: allow(concurrency) — future tokens carry the scores.
+  std::future<serve::Score> valid_1 = router.Submit(rows_[1]);
+
+  EXPECT_EQ(bad_0.get().status, serve::ServeStatus::kRejectedInvalid);
+  EXPECT_EQ(bad_1.get().status, serve::ServeStatus::kRejectedInvalid);
+  const serve::Score got_0 = valid_0.get();
+  const serve::Score got_1 = valid_1.get();
+  ASSERT_EQ(got_0.status, serve::ServeStatus::kOk);
+  ASSERT_EQ(got_1.status, serve::ServeStatus::kOk);
+  EXPECT_EQ(got_0.pctcvr, want[0]);
+  EXPECT_EQ(got_1.pctcvr, want[1]);
+
+  router.Shutdown();
+  const serve::RouterStats stats = router.stats();
+  EXPECT_EQ(stats.rejected_invalid, 2);
+  EXPECT_EQ(stats.routed, 2);
+  EXPECT_EQ(stats.scored, 2);
 }
 
 // --- SwappableModel protocol. -----------------------------------------------
@@ -544,13 +586,13 @@ TEST_F(RouterTest, SwapRebindsCacheToNewVersionRows) {
   serve::RouterConfig config;
   config.num_engines = 2;
   serve::Router router(std::move(frozen), config);
-  EXPECT_EQ(router.ScoreSync(rows_.front()).status, serve::ServeStatus::kOk);
+  EXPECT_EQ(router.Submit(rows_.front()).get().status, serve::ServeStatus::kOk);
   ASSERT_GT(router.cache().stats().resident_rows, 0);
 
   std::unique_ptr<const serve::FrozenModel> retired = router.Swap(LoadB());
   ASSERT_NE(retired, nullptr);
   // Post-swap, resolved rows must be B's bits (coherence across swap).
-  EXPECT_EQ(router.ScoreSync(rows_.front()).status, serve::ServeStatus::kOk);
+  EXPECT_EQ(router.Submit(rows_.front()).get().status, serve::ServeStatus::kOk);
   for (int table = 0; table < ref_b->EmbeddingTableCount(); ++table) {
     std::vector<float> via_cache, via_b;
     ASSERT_TRUE(router.cache().Get(table, 0, &via_cache));

@@ -150,12 +150,15 @@ TEST_P(ServeZooTest, EngineMicroBatchingPreservesScoresExactly) {
   serve::EngineConfig config;
   config.max_batch = 7;
   serve::Engine engine(&frozen, config);
-  const std::vector<serve::Score> got = engine.ScoreAll(rows);
-  ASSERT_EQ(got.size(), rows.size());
+  // dcmt-lint: allow(concurrency) — future tokens carry the scores.
+  std::vector<std::future<serve::Score>> futures;
+  for (const data::Example& row : rows) futures.push_back(engine.TrySubmit(row));
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(got[i].pctr, want.pctr[i]) << "row " << i;
-    EXPECT_EQ(got[i].pcvr, want.pcvr[i]) << "row " << i;
-    EXPECT_EQ(got[i].pctcvr, want.pctcvr[i]) << "row " << i;
+    const serve::Score got = futures[i].get();
+    ASSERT_TRUE(got.ok()) << "row " << i;
+    EXPECT_EQ(got.pctr, want.pctr[i]) << "row " << i;
+    EXPECT_EQ(got.pcvr, want.pcvr[i]) << "row " << i;
+    EXPECT_EQ(got.pctcvr, want.pctcvr[i]) << "row " << i;
   }
 }
 
@@ -268,7 +271,7 @@ TEST_F(ServeTest, EngineSingleRequestMatchesDirectScoring) {
   const data::Example row = train_.examples().front();
   const serve::ScoreColumns want = frozen.ScoreExamples({row});
   serve::Engine engine(&frozen);
-  const serve::Score got = engine.ScoreSync(row);
+  const serve::Score got = engine.TrySubmit(row).get();
   EXPECT_EQ(got.pctr, want.pctr[0]);
   EXPECT_EQ(got.pcvr, want.pcvr[0]);
   EXPECT_EQ(got.pctcvr, want.pctcvr[0]);
@@ -281,7 +284,7 @@ TEST_F(ServeTest, EngineDeadlineFlushesPartialBatches) {
   config.max_wait_micros = 500;
   serve::Engine engine(&frozen, config);
   for (int i = 0; i < 3; ++i) {
-    const serve::Score score = engine.ScoreSync(train_.examples()[0]);
+    const serve::Score score = engine.TrySubmit(train_.examples()[0]).get();
     EXPECT_GT(score.pctcvr, 0.0f);
   }
   const serve::EngineStats stats = engine.stats();
@@ -296,11 +299,11 @@ TEST_F(ServeTest, EngineShutdownDrainsQueuedRequestsWithoutDrops) {
   config.max_batch = 8;
   config.max_wait_micros = 1000000;  // 1s: shutdown must beat the deadline
   serve::Engine engine(&frozen, config);
-  // dcmt-lint: allow(concurrency) — Submit's future tokens carry the scores.
+  // dcmt-lint: allow(concurrency) — TrySubmit's future tokens carry the scores.
   std::vector<std::future<serve::Score>> futures;
   futures.reserve(20);
   for (int i = 0; i < 20; ++i) {
-    futures.push_back(engine.Submit(train_.examples()[0]));
+    futures.push_back(engine.TrySubmit(train_.examples()[0]));
   }
   engine.Shutdown();  // drains the queue; idempotent
   engine.Shutdown();
@@ -317,8 +320,12 @@ TEST_F(ServeTest, EngineStatsTrackBatchesAndWatermarks) {
   serve::EngineConfig config;
   config.max_batch = 32;
   serve::Engine engine(&frozen, config);
-  std::vector<data::Example> rows(100, train_.examples()[0]);
-  engine.ScoreAll(rows);
+  // dcmt-lint: allow(concurrency) — future tokens carry the scores.
+  std::vector<std::future<serve::Score>> futures;
+  for (int i = 0; i < 100; ++i) {
+    futures.push_back(engine.TrySubmit(train_.examples()[0]));
+  }
+  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
   engine.Shutdown();
   const serve::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.submitted, 100);
@@ -334,14 +341,16 @@ TEST_F(ServeTest, EngineStatsTrackBatchesAndWatermarks) {
 TEST_F(ServeTest, SubmitAfterShutdownRejectsInsteadOfAborting) {
   const serve::FrozenModel frozen = Frozen();
   serve::Engine engine(&frozen);
-  EXPECT_TRUE(engine.ScoreSync(train_.examples()[0]).ok());
+  EXPECT_TRUE(engine.TrySubmit(train_.examples()[0]).get().ok());
   engine.Shutdown();
-  // Both entry points resolve immediately with a status — no Fatal, no hang.
-  const serve::Score via_submit = engine.Submit(train_.examples()[0]).get();
-  EXPECT_EQ(via_submit.status, serve::ServeStatus::kRejectedShutdown);
-  EXPECT_EQ(via_submit.pctcvr, 0.0f);
-  const serve::Score via_try = engine.TrySubmit(train_.examples()[0]).get();
-  EXPECT_EQ(via_try.status, serve::ServeStatus::kRejectedShutdown);
+  // Every later submit resolves immediately with a status — no Fatal, no
+  // hang — and with a deadline as without one.
+  const serve::Score first = engine.TrySubmit(train_.examples()[0]).get();
+  EXPECT_EQ(first.status, serve::ServeStatus::kRejectedShutdown);
+  EXPECT_EQ(first.pctcvr, 0.0f);
+  const serve::Score second =
+      engine.TrySubmit(train_.examples()[0], obs::NowNanos() + 1000000).get();
+  EXPECT_EQ(second.status, serve::ServeStatus::kRejectedShutdown);
   const serve::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.rejected_shutdown, 2);
   EXPECT_EQ(stats.scored, 1);
@@ -366,7 +375,7 @@ TEST_F(ServeTest, ConcurrentSubmittersRacingShutdownAllResolve) {
     submitters.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
         const serve::Score score =
-            engine.Submit(train_.examples()[0]).get();
+            engine.TrySubmit(train_.examples()[0]).get();
         if (score.status == serve::ServeStatus::kOk) {
           ok.fetch_add(1);
         } else if (score.status == serve::ServeStatus::kRejectedShutdown) {
@@ -404,9 +413,9 @@ TEST_F(ServeTest, DeadlineAnchorsAtFirstEnqueueOfBatch) {
   // would consider the second batch's deadline already expired and flush it
   // instantly; the fixed clock waits the full max_wait from the second
   // request's own enqueue.
-  engine.ScoreSync(train_.examples()[0]);
+  engine.TrySubmit(train_.examples()[0]).get();
   const auto start = std::chrono::steady_clock::now();
-  engine.ScoreSync(train_.examples()[0]);
+  engine.TrySubmit(train_.examples()[0]).get();
   const auto waited = std::chrono::steady_clock::now() - start;
   EXPECT_GE(std::chrono::duration_cast<std::chrono::milliseconds>(waited)
                 .count(),
@@ -423,7 +432,7 @@ TEST_F(ServeTest, FullAndExpiredFlushCountsExactlyOnce) {
   config.max_wait_micros = 0;  // ...and its deadline is already expired
   serve::Engine engine(&frozen, config);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(engine.ScoreSync(train_.examples()[0]).ok());
+    EXPECT_TRUE(engine.TrySubmit(train_.examples()[0]).get().ok());
   }
   engine.Shutdown();
   // A flush that is simultaneously full and past its deadline is one flush:
@@ -473,6 +482,62 @@ TEST_F(ServeTest, PerRequestDeadlineTightensTheBatchFlush) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(),
             10);
   EXPECT_EQ(engine.stats().flushed_deadline, 1);
+}
+
+// --- Fail closed at the door: a malformed request never reaches scoring. ----
+
+TEST_F(ServeTest, MalformedRequestsRejectInvalidAndValidNeighboursScoreExactly) {
+  const serve::FrozenModel frozen = Frozen();
+  const data::FeatureSchema& schema = train_.schema();
+  ASSERT_TRUE(schema.has_wide());
+  const data::Example valid_a = train_.examples()[0];
+  const data::Example valid_b = train_.examples()[1];
+  const serve::ScoreColumns want = frozen.ScoreExamples({valid_a, valid_b});
+
+  // Scoring any of these would abort the process (an id outside the
+  // embedding table) or read past the end of an id list.
+  std::vector<data::Example> malformed(5, valid_a);
+  malformed[0].deep_ids[0] = schema.deep_fields[0].vocab_size;  // out of vocab
+  malformed[1].deep_ids.pop_back();                             // short list
+  malformed[2].wide_ids.back() = -1;                            // negative id
+  malformed[3].wide_ids.clear();                                // no wide ids
+  malformed[4].deep_ids.push_back(0);                           // extra field
+
+  serve::EngineConfig config;
+  config.max_batch = 4;
+  serve::Engine engine(&frozen, config);
+  // dcmt-lint: allow(concurrency) — future tokens carry the scores.
+  std::future<serve::Score> a = engine.TrySubmit(valid_a);
+  // dcmt-lint: allow(concurrency) — future tokens carry the rejections.
+  std::vector<std::future<serve::Score>> rejected;
+  for (const data::Example& row : malformed) {
+    rejected.push_back(engine.TrySubmit(row));
+  }
+  // dcmt-lint: allow(concurrency) — future tokens carry the scores.
+  std::future<serve::Score> b = engine.TrySubmit(valid_b);
+  for (std::size_t i = 0; i < rejected.size(); ++i) {
+    const serve::Score got = rejected[i].get();
+    EXPECT_EQ(got.status, serve::ServeStatus::kRejectedInvalid) << "case " << i;
+    EXPECT_EQ(got.pctcvr, 0.0f) << "case " << i;
+  }
+  const serve::Score got_a = a.get();
+  const serve::Score got_b = b.get();
+  ASSERT_TRUE(got_a.ok());
+  ASSERT_TRUE(got_b.ok());
+  EXPECT_EQ(got_a.pctr, want.pctr[0]);
+  EXPECT_EQ(got_a.pcvr, want.pcvr[0]);
+  EXPECT_EQ(got_a.pctcvr, want.pctcvr[0]);
+  EXPECT_EQ(got_b.pctr, want.pctr[1]);
+  EXPECT_EQ(got_b.pcvr, want.pcvr[1]);
+  EXPECT_EQ(got_b.pctcvr, want.pctcvr[1]);
+
+  engine.Shutdown();
+  const serve::EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.rejected_invalid, 5);
+  EXPECT_EQ(stats.submitted, 2);
+  EXPECT_EQ(stats.scored, 2);
+  EXPECT_EQ(stats.rejected_overload, 0);
+  EXPECT_EQ(stats.rejected_shutdown, 0);
 }
 
 }  // namespace

@@ -322,14 +322,17 @@ ServeStressFixture& ServeFixture() {
 }
 
 TEST(TsanStress, ServeEngineConcurrentSubmitters) {
-  // Several OS threads hammer Submit() while the dispatcher coalesces and
-  // scores: TSan checks the queue's mutex/cv protocol end to end.
+  // Several OS threads hammer TrySubmit() while the dispatcher coalesces
+  // and scores: TSan checks the queue's mutex/cv protocol end to end. Each
+  // submitter waits for its own score, so at most kThreads requests are
+  // ever queued and the capacity is never reached (shedding is covered by
+  // ServeEngineShedsWhileDispatcherDrains).
   ScopedParallelConfig config(2, 1);
   ServeStressFixture& fixture = ServeFixture();
   serve::EngineConfig engine_config;
   engine_config.max_batch = 16;
   engine_config.max_wait_micros = 100;
-  engine_config.queue_capacity = 32;  // small: exercises backpressure too
+  engine_config.queue_capacity = 32;
   serve::Engine engine(fixture.frozen.get(), engine_config);
   constexpr int kThreads = 4;
   constexpr int kRowsPerThread = 32;
@@ -343,7 +346,7 @@ TEST(TsanStress, ServeEngineConcurrentSubmitters) {
         for (int i = 0; i < kRowsPerThread; ++i) {
           const std::size_t row =
               static_cast<std::size_t>((t * kRowsPerThread + i) % 128);
-          const serve::Score score = engine.ScoreSync(fixture.rows[row]);
+          const serve::Score score = engine.TrySubmit(fixture.rows[row]).get();
           if (score.pctcvr > 0.0f && score.pctcvr < 1.0f) {
             in_range.fetch_add(1, std::memory_order_relaxed);
           }
@@ -370,7 +373,7 @@ TEST(TsanStress, ServeEngineDeadlineFlushesUnderConcurrency) {
   serve::Engine engine(fixture.frozen.get(), engine_config);
   for (int i = 0; i < 8; ++i) {
     const serve::Score score =
-        engine.ScoreSync(fixture.rows[static_cast<std::size_t>(i)]);
+        engine.TrySubmit(fixture.rows[static_cast<std::size_t>(i)]).get();
     EXPECT_GT(score.pctcvr, 0.0f);
   }
   engine.Shutdown();
@@ -393,7 +396,8 @@ TEST(TsanStress, ServeEngineShutdownDrainsInflightWithoutDrops) {
   std::vector<std::future<serve::Score>> futures;
   futures.reserve(64);
   for (int i = 0; i < 64; ++i) {
-    futures.push_back(engine.Submit(fixture.rows[static_cast<std::size_t>(i % 128)]));
+    futures.push_back(
+        engine.TrySubmit(fixture.rows[static_cast<std::size_t>(i % 128)]));
   }
   engine.Shutdown();
   int fulfilled = 0;
@@ -405,6 +409,63 @@ TEST(TsanStress, ServeEngineShutdownDrainsInflightWithoutDrops) {
   const serve::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.submitted, 64);
   EXPECT_EQ(stats.scored, 64);
+}
+
+TEST(TsanStress, ServeEngineShedsWhileDispatcherDrains) {
+  // Four threads overrun a queue of capacity 8 without waiting for their
+  // scores while the dispatcher drains it: TSan checks the shed path against
+  // the dispatcher's pops, and the accounting must close — every future
+  // resolves, scored or shed, and nothing is counted twice.
+  ScopedParallelConfig config(2, 1);
+  ServeStressFixture& fixture = ServeFixture();
+  serve::EngineConfig engine_config;
+  engine_config.max_batch = 4;
+  engine_config.max_wait_micros = 50;
+  engine_config.queue_capacity = 8;
+  serve::Engine engine(fixture.frozen.get(), engine_config);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 64;
+  // dcmt-lint: allow(concurrency) — cross-thread assertion counter.
+  std::atomic<int> scored{0};
+  // dcmt-lint: allow(concurrency) — cross-thread assertion counter.
+  std::atomic<int> shed{0};
+  // dcmt-lint: allow(concurrency) — cross-thread assertion counter.
+  std::atomic<int> other{0};
+  {
+    // dcmt-lint: allow(concurrency) — real submitter threads are the test.
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kThreads; ++t) {
+      submitters.emplace_back([&engine, &fixture, &scored, &shed, &other, t] {
+        // dcmt-lint: allow(concurrency) — futures are collected, not awaited.
+        std::vector<std::future<serve::Score>> futures;
+        futures.reserve(kPerThread);
+        for (int i = 0; i < kPerThread; ++i) {
+          futures.push_back(engine.TrySubmit(
+              fixture.rows[static_cast<std::size_t>((t * kPerThread + i) %
+                                                    128)]));
+        }
+        for (auto& future : futures) {
+          const serve::ServeStatus status = future.get().status;
+          if (status == serve::ServeStatus::kOk) {
+            scored.fetch_add(1, std::memory_order_relaxed);
+          } else if (status == serve::ServeStatus::kRejectedOverload) {
+            shed.fetch_add(1, std::memory_order_relaxed);
+          } else {
+            other.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    for (auto& submitter : submitters) submitter.join();
+  }
+  engine.Shutdown();
+  const serve::EngineStats stats = engine.stats();
+  EXPECT_EQ(scored.load() + shed.load(), kThreads * kPerThread);
+  EXPECT_EQ(other.load(), 0);
+  EXPECT_EQ(stats.scored + stats.rejected_overload, kThreads * kPerThread);
+  EXPECT_EQ(stats.scored, scored.load());
+  EXPECT_EQ(stats.rejected_overload, shed.load());
+  EXPECT_LE(stats.max_queue_depth, engine_config.queue_capacity);
 }
 
 // --- Prefetch channel shutdown edges (core/prefetch.h). ---------------------
@@ -464,7 +525,7 @@ TEST(TsanStress, RouterSwapUnderSustainedLoad) {
         for (int i = 0; i < 40; ++i) {
           const std::size_t row =
               static_cast<std::size_t>((t * 40 + i) % 128);
-          if (router.ScoreSync(fixture.rows[row]).ok()) {
+          if (router.Submit(fixture.rows[row]).get().ok()) {
             ok.fetch_add(1, std::memory_order_relaxed);
           }
         }
@@ -513,8 +574,11 @@ TEST(TsanStress, RouterSubmittersRaceShutdown) {
     for (int t = 0; t < 4; ++t) {
       submitters.emplace_back([&router, &fixture, &resolved, &torn, t] {
         for (int i = 0; i < 30; ++i) {
-          const serve::Score score = router.ScoreSync(
-              fixture.rows[static_cast<std::size_t>((t * 30 + i) % 128)]);
+          const serve::Score score =
+              router
+                  .Submit(fixture.rows[static_cast<std::size_t>(
+                      (t * 30 + i) % 128)])
+                  .get();
           if (score.status == serve::ServeStatus::kOk ||
               score.status == serve::ServeStatus::kRejectedShutdown) {
             resolved.fetch_add(1, std::memory_order_relaxed);

@@ -29,11 +29,12 @@
 //       on it; also reachable as `dcmt_cli --check-graph`.
 //   dcmt_cli serve-bench [--model=dcmt --ckpt=dcmt.ckpt] [--requests=20000]
 //                        [--max-batch=256 --max-wait-us=200 --threads=N]
-//                        [--metrics-out=metrics.prom]
+//                        [--queue-capacity=4096 --metrics-out=metrics.prom]
 //       loadgen against the serve::Engine micro-batcher: freezes the model
 //       (from a checkpoint, or fresh-initialized when --ckpt is omitted),
-//       replays a deterministic synthetic request stream, and reports
-//       throughput plus the engine's batching counters.
+//       replays a deterministic synthetic request stream in windows of
+//       --queue-capacity requests, and reports throughput plus the engine's
+//       batching counters. Exits 1 if any request is not scored.
 //   dcmt_cli router-bench [--model=dcmt --ckpt=dcmt.ckpt] [--engines=2]
 //                         [--requests=2000 --clients=4 --deadline-us=50000]
 //                         [--zipf-s=1.1 --swap=1 --overload=1]
@@ -69,7 +70,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-// dcmt-lint: allow(concurrency) — router-bench holds future score tokens.
+// dcmt-lint: allow(concurrency) — serve/router-bench hold future score tokens.
 #include <future>
 #include <memory>
 #include <string>
@@ -504,18 +505,18 @@ int CheckGraphCmd(int argc, char** argv) {
 }
 
 /// Load-generates against the serving engine: a deterministic stream of
-/// (user, item) score requests is replayed through serve::Engine in bounded
-/// windows (so outstanding futures stay capped), and the run reports wall
-/// throughput plus the engine's own batching counters. With --ckpt the
-/// frozen model comes from a v2 checkpoint; without, it serves the freshly
-/// initialized model (useful for pure engine-overhead measurements).
+/// (user, item) score requests is sent through serve::Engine::TrySubmit in
+/// windows of --queue-capacity requests (a window always fits the queue, so
+/// nothing is shed), and the run reports wall throughput plus the engine's
+/// own batching counters. Exits 1 if any request is not scored. With --ckpt
+/// the frozen model comes from a v2 checkpoint; without, it serves the
+/// freshly initialized model (useful for pure engine-overhead measurements).
 int ServeBenchCmd(int argc, char** argv) {
   const eval::Flags flags(argc, argv,
                           {{"model", "dcmt"},
                            {"ckpt", ""},
                            {"profile", "ae-es"},
                            {"requests", "20000"},
-                           {"window", "4096"},
                            {"max-batch", "256"},
                            {"max-wait-us", "200"},
                            {"queue-capacity", "4096"},
@@ -550,27 +551,34 @@ int ServeBenchCmd(int argc, char** argv) {
   serve::EngineConfig engine_config;
   engine_config.max_batch = flags.GetInt("max-batch");
   engine_config.max_wait_micros = flags.GetInt("max-wait-us");
-  engine_config.queue_capacity = flags.GetInt("queue-capacity");
+  engine_config.queue_capacity = flags.GetPositiveInt("queue-capacity");
+  const int total = flags.GetPositiveInt("requests");
   serve::Engine engine(frozen.get(), engine_config);
 
-  const int total = flags.GetInt("requests");
-  const int window = std::max(1, flags.GetInt("window"));
   const auto& profile = generator.profile();
   Rng traffic(static_cast<std::uint64_t>(flags.GetInt("seed")) ^
               0x5e7fe11aULL);
   const std::int64_t t0 = obs::NowNanos();
   double checksum = 0.0;
+  std::int64_t not_scored = 0;
   int sent = 0;
   while (sent < total) {
-    const int count = std::min(window, total - sent);
-    std::vector<data::Example> rows;
-    rows.reserve(static_cast<std::size_t>(count));
+    const int count = std::min(engine_config.queue_capacity, total - sent);
+    // dcmt-lint: allow(concurrency) — future tokens carry the window's scores.
+    std::vector<std::future<serve::Score>> window;
+    window.reserve(static_cast<std::size_t>(count));
     for (int i = 0; i < count; ++i) {
       const int user = static_cast<int>(traffic.NextBounded(profile.num_users));
       const int item = static_cast<int>(traffic.NextBounded(profile.num_items));
-      rows.push_back(generator.MakeExample(user, item, /*position=*/0));
+      window.push_back(
+          engine.TrySubmit(generator.MakeExample(user, item, /*position=*/0)));
     }
-    for (const serve::Score& score : engine.ScoreAll(rows)) {
+    for (auto& future : window) {
+      const serve::Score score = future.get();
+      if (!score.ok()) {
+        ++not_scored;
+        continue;
+      }
       checksum += score.pctcvr;
     }
     sent += count;
@@ -599,7 +607,13 @@ int ServeBenchCmd(int argc, char** argv) {
   std::printf("  max queue depth %lld\n",
               static_cast<long long>(stats.max_queue_depth));
   std::printf("  checksum        %.6f\n", checksum);
-  return WriteObsOutputs(flags);
+  const int obs_status = WriteObsOutputs(flags);
+  if (not_scored > 0) {
+    std::fprintf(stderr, "serve-bench: %lld of %d requests were not scored\n",
+                 static_cast<long long>(not_scored), total);
+    return 1;
+  }
+  return obs_status;
 }
 
 /// `dcmt_cli router-bench` — closed-loop load against the sharded router

@@ -56,8 +56,10 @@ fi
 # proof and the micro-batcher's queue protocol are exactly the kind of code
 # that behaves until instrumented, so the serve suites run under BOTH
 # sanitizer trees (heap discipline of the inference arena under ASan/UBSan,
-# dispatcher/submitter edges under TSan). Skippable with DCMT_SKIP_SERVE=1;
-# the suites also run uninstrumented in the plain ctest pass above.
+# dispatcher/submitter edges under TSan), then a short serve-bench load run
+# uninstrumented (it exits nonzero when any request is not scored).
+# Skippable with DCMT_SKIP_SERVE=1; the suites also run uninstrumented in the
+# plain ctest pass above.
 if [[ "${DCMT_SKIP_SERVE:-0}" != "1" ]]; then
   if [[ "${DCMT_SKIP_SANITIZE:-0}" != "1" ]]; then
     SAN_DIR="${BUILD_DIR}-asan"
@@ -78,6 +80,8 @@ if [[ "${DCMT_SKIP_SERVE:-0}" != "1" ]]; then
       ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" --no-tests=error \
       -R 'Serve|InferenceGuard'
   fi
+  "$BUILD_DIR"/tools/dcmt_cli serve-bench --requests=2000 --threads=2 \
+    || { echo "serve demo FAILED: a request was not scored"; exit 1; }
   echo "serve stage OK"
 fi
 
